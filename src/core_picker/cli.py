@@ -27,9 +27,9 @@ from .games import (
     gen_unit_game,
     marginal_increments,
 )
-from .geometry import simplex_width
+from .geometry import MEMBERSHIP_TOL, simplex_width
 from .learner import DEFAULT_MAX_EPOCHS, LearnerConfig, common_points_picking
-from .oracle import NoiseModel, RewardOracle
+from .oracle import RewardOracle
 from .verify import core_membership
 
 GENERATORS = {
@@ -38,8 +38,6 @@ GENERATORS = {
     "unit": lambda n, seed, noise: gen_unit_game(n, noise),
     "permutahedron": lambda n, seed, noise: gen_permutahedron(n, noise),
 }
-
-MEMBERSHIP_TOL = 1e-9
 
 
 def trial_streams(seed: int, n: int, trial: int):
@@ -135,6 +133,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    LearnerConfig(delta=args.delta, max_epochs=args.max_epochs)  # fail before any worker starts
     jobs = [
         (n, t, args.gen, args.perms, args.delta, args.seed, args.max_epochs)
         for n in range(args.n_min, args.n_max + 1)
@@ -193,24 +192,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser, args) -> None:
-    if args.command == "learn":
-        if not 2 <= args.n <= 20:
-            parser.error("--n must be in 2..20")
-        if not 0.0 < args.delta < 1.0:
-            parser.error("--delta must lie in (0, 1)")
-        try:
-            NoiseModel.parse(args.noise)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.max_epochs < 1:
-            parser.error("--max-epochs must be positive")
-    elif args.command == "sweep":
+    """Range checks owned by the CLI; the domain types check everything else."""
+    if args.command == "sweep":
         if not 2 <= args.n_min <= args.n_max <= 10:
             parser.error("need 2 <= n-min <= n-max <= 10")
         if args.trials < 1:
             parser.error("--trials must be positive")
-        if not 0.0 < args.delta < 1.0:
-            parser.error("--delta must lie in (0, 1)")
     elif args.command == "cw":
         if any(not 2 <= n <= 1000 for n in args.n):
             parser.error("--n entries must be in 2..1000")
@@ -222,7 +209,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # a game, noise model or learner config rejected an argument
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -38,8 +38,15 @@ def members_of(mask: Coalition) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_player_count(n: int) -> None:
+    if not 2 <= n <= MAX_PLAYERS:
+        raise ValueError(f"player count {n} outside 2..{MAX_PLAYERS}")
+
+
 def coalition_sizes(n: int) -> np.ndarray:
-    """Popcount of every mask 0..2**n-1, built by doubling."""
+    """Popcount of every mask 0..2**n-1, built by doubling; checks n first
+    so that generators reject a player count before allocating its table."""
+    _check_player_count(n)
     sizes = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         sizes = np.concatenate([sizes, sizes + 1])
@@ -134,14 +141,13 @@ class GameSpec:
     noise: str = "bernoulli"
 
     def __post_init__(self):
-        if not 2 <= self.n <= MAX_PLAYERS:
-            raise ValueError(f"player count {self.n} outside 2..{MAX_PLAYERS}")
+        _check_player_count(self.n)
         mu = np.array(self.mu, dtype=np.float64)  # own copy, frozen below
         if mu.shape != (1 << self.n,):
             raise ValueError(f"reward table must have {1 << self.n} entries")
         if mu[0] != 0.0:
             raise ValueError("empty coalition must have reward 0")
-        if np.any(mu < 0.0) or np.any(mu > 1.0):
+        if not np.all((mu >= 0.0) & (mu <= 1.0)):  # also rejects nan
             raise ValueError("rewards must lie in [0, 1]")
         mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
@@ -262,15 +268,29 @@ def save_game(game: GameSpec, path) -> None:
 
 
 def load_game(path) -> GameSpec:
-    """Read a game written by :func:`save_game`; round-trips exactly."""
+    """Read a game written by :func:`save_game`; round-trips exactly.
+
+    Raises ValueError naming the mask when one is out of range, repeated or
+    missing.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         fields = dict(part.split("=", 1) for part in header)
         n = int(fields["n"])
+        _check_player_count(n)
         mu = np.zeros(1 << n)
+        seen = np.zeros(1 << n, dtype=bool)
         for line in fh:
             mask_s, value_s = line.split()
-            mu[int(mask_s)] = float(value_s)
+            mask = int(mask_s)
+            if not 0 <= mask < seen.size:
+                raise ValueError(f"mask {mask} out of range for n={n}")
+            if seen[mask]:
+                raise ValueError(f"mask {mask} appears twice")
+            seen[mask] = True
+            mu[mask] = float(value_s)
+    if not seen.all():
+        raise ValueError(f"mask {int(np.argmin(seen))} is missing")
     return GameSpec(n=n, mu=mu, noise=fields["noise"])
 
 

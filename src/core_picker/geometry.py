@@ -5,8 +5,8 @@ hyperplane (coordinates summing to a common value), so separating hyperplanes
 are constrained to have sum-zero normals.
 
 Tolerances are centralized here: RANK_TOL for rank decisions on singular
-values, MEMBERSHIP_TOL as slack for barycentric coordinates, UNIT_TOL for
-unit-norm checks.
+values and altitudes, MEMBERSHIP_TOL as slack for barycentric coordinates,
+UNIT_TOL for unit-norm checks.
 """
 
 from __future__ import annotations
@@ -86,38 +86,48 @@ def simplex_width(points) -> float:
     )
 
 
+def separating_normals(points):
+    """Facet normals and altitudes of the simplex of n points, from one solve.
+
+    Shifting each row along the all-ones direction to coordinate sum n keeps
+    its sum-zero part and makes barycentric weights linear in the row, so
+    column p of the inverse, less its mean, is the in-plane gradient g_p of
+    the weight of x^p.  Row p of the returned ``normals`` is -g_p / ||g_p||,
+    the unit sum-zero normal of the facet opposite x^p: the other points share
+    one level along it and x^p sits below by its altitude 1 / ||g_p||.
+    Returns ``(normals, altitudes)``, or None when the points are affinely
+    degenerate within RANK_TOL.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    try:
+        inverse = np.linalg.inv(pts - pts.mean(axis=1, keepdims=True) + 1.0)
+    except np.linalg.LinAlgError:
+        return None
+    gradients = inverse - inverse.mean(axis=0)
+    altitudes = 1.0 / np.linalg.norm(gradients, axis=0)
+    if not np.all(altitudes > RANK_TOL):  # also rejects nan
+        return None
+    return -(gradients * altitudes).T, altitudes
+
+
 def fit_separating_hyperplane(points, p: int, eps: float) -> Hyperplane | None:
     """Hyperplane through the points other than x^p, shifted by eps toward x^p.
 
-    The normal v spans the null space of the (n-1) x n system made of the
-    pairwise differences of the other points plus the all-ones row, so v is a
-    unit sum-zero vector with <v, x^q> at a common level L for all q != p.
-    The sign is chosen so <v, x^p> < L and the offset is L - eps.
-
-    Returns None (degenerate) when the null space is not one-dimensional
-    within RANK_TOL or when x^p sits at the common level, i.e. no separation
-    exists.
+    The normal v is row p of :func:`separating_normals`: a unit sum-zero
+    vector with <v, x^q> at a common level L for all q != p and
+    <v, x^p> = L - altitude.  The offset is L - eps.  Returns None when the
+    points are degenerate, i.e. no separation exists.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if not 0 <= p < n:
         raise ValueError(f"index {p} out of range for {n} points")
-    others = np.array([pts[q] for q in range(n) if q != p])
-    rows = [others[j] - others[0] for j in range(1, n - 1)]
-    rows.append(np.ones(pts.shape[1]))
-    system = np.stack(rows)
-    _, sv, vh = np.linalg.svd(system)
-    if sv[-1] < RANK_TOL:
-        return None  # rank deficient: null space has dimension > 1
-    v = vh[-1]
-    level = float(np.mean(others @ v))
-    at_p = float(pts[p] @ v)
-    if at_p == level:
+    fit = separating_normals(pts)
+    if fit is None:
         return None
-    if at_p > level:
-        v = -v
-        level, at_p = -level, -at_p
-    return Hyperplane(normal=v, offset=level - eps)
+    normals, altitudes = fit
+    level = float(normals[p] @ pts[p] + altitudes[p])
+    return Hyperplane(normal=normals[p], offset=level - eps)
 
 
 def box_hyperplane_clearance(h: Hyperplane, box: ConfidenceBox) -> float:

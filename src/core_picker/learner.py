@@ -11,14 +11,18 @@ Epochs are advanced in batches between stopping checks (the oracle sums whole
 batches of rewards at once), with check epochs spaced geometrically.  This
 leaves the sampling distribution untouched and makes runs needing billions of
 samples take milliseconds; the reported epoch is the first checked epoch at
-which the stopping condition held, at most ``check_growth`` times the exact
+which the stopping condition held, at most ``CHECK_GROWTH`` times the exact
 one.
+
+A run's state is built once from the n permutations, as their prefix masks
+``chains`` and player ranks ``ranks``, plus one n x n array ``totals`` of
+summed prefix rewards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +32,12 @@ from .games import (
     cyclic_permutations,
     prefix_coalitions,
 )
-from .geometry import ConfidenceBox, box_hyperplane_clearance, fit_separating_hyperplane, mean_point
+from .geometry import mean_point, separating_normals
 from .oracle import RewardOracle
 
 DEFAULT_MAX_EPOCHS = 10**12
+CHECK_DENSE_UNTIL = 64  # check the stopping rule every epoch up to here
+CHECK_GROWTH = 1.05     # then space checks geometrically
 
 
 def confidence_bonus(ep: int, n: int, delta: float) -> float:
@@ -70,97 +76,58 @@ class LearnerConfig:
     perm_choice: object = "adjacent"  # "adjacent" | "cyclic" | sequence of Permutation
     max_epochs: int = DEFAULT_MAX_EPOCHS
     project_to_hn: bool = True
-    check_dense_until: int = 64   # check the stopping rule every epoch up to here
-    check_growth: float = 1.05    # then space checks geometrically
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
-        if self.check_growth <= 1.0:
-            raise ValueError("check_growth must exceed 1")
 
 
-@dataclass
-class EpochState:
-    """Running sufficient statistics after ``epoch`` epochs.
+def run_epochs(totals: np.ndarray, oracle: RewardOracle, chains, k: int) -> None:
+    """Advance k epochs: add k rewards of every prefix chains[p][i] to totals[p, i].
 
-    ``prefix_totals[p, k]`` is the summed reward of the k-th arrival prefix of
-    permutation p over all epochs so far; estimates are the telescoped means
-    per player, shifted onto the efficiency hyperplane when projecting.
+    ``totals[p, i]`` is the summed reward of the (i+1)-th arrival prefix of
+    permutation p; the n^2 prefix sums are drawn in row-major order.
     """
-
-    epoch: int
-    prefix_totals: np.ndarray
-    estimates: list = field(default_factory=list)
-    bonus: float = float("inf")
-
-    @classmethod
-    def fresh(cls, n: int) -> "EpochState":
-        return cls(epoch=0, prefix_totals=np.zeros((n, n)))
-
-    def marginal_sums(self, perms) -> list[np.ndarray]:
-        """Per-permutation sums of marginal-vector samples, player-indexed."""
-        out = []
-        for p, w in enumerate(perms):
-            by_rank = np.diff(self.prefix_totals[p], prepend=0.0)
-            out.append(by_rank[list(w.ranks)])
-        return out
+    for p, chain in enumerate(chains):
+        for i, coalition in enumerate(chain):
+            totals[p, i] += oracle.query_sum(coalition, k)
 
 
-def run_epochs(
-    state: EpochState,
-    oracle: RewardOracle,
-    perms,
-    k: int,
-    delta: float,
-    project_to_hn: bool = True,
-) -> EpochState:
-    """Advance k epochs: n^2 prefix queries per epoch, then refresh estimates."""
-    n = len(perms)
-    chains = [prefix_coalitions(w) for w in perms]
-    for p in range(n):
-        for idx, coalition in enumerate(chains[p]):
-            state.prefix_totals[p, idx] += oracle.query_sum(coalition, k)
-    state.epoch += k
-    mu_grand = oracle.game.mu_grand
-    estimates = []
-    for p, w in enumerate(perms):
-        by_rank = np.diff(state.prefix_totals[p], prepend=0.0) / state.epoch
-        est = by_rank[list(w.ranks)]
-        if project_to_hn:
-            est = est + (mu_grand - est.sum()) / n
-        estimates.append(est)
-    state.estimates = estimates
-    state.bonus = confidence_bonus(state.epoch, n, delta)
-    return state
+def vertex_estimates(totals: np.ndarray, epochs: int, ranks: np.ndarray,
+                     mu_grand: float | None = None) -> np.ndarray:
+    """Row p: the mean marginal vector of permutation p, player-indexed.
 
-
-def run_epoch(state, oracle, perms, delta, project_to_hn=True) -> EpochState:
-    """A single epoch: every prefix of every permutation queried once."""
-    return run_epochs(state, oracle, perms, 1, delta, project_to_hn)
+    Prefix totals telescope into per-rank means, and ``ranks[p, i]`` (the rank
+    of player i under permutation p) picks player i's entry.  With
+    ``mu_grand`` each row is shifted onto the efficiency hyperplane.
+    """
+    by_rank = np.diff(totals, axis=1, prepend=0.0) / epochs
+    estimates = np.take_along_axis(by_rank, ranks, axis=1)
+    if mu_grand is not None:
+        estimates += (mu_grand - estimates.sum(axis=1, keepdims=True)) / len(ranks)
+    return estimates
 
 
 def stopping_condition(estimates, bonus: float) -> bool:
     """True when every estimated vertex clears its separating hyperplane.
 
-    With margin eps = 2 sqrt(n) * bonus, each point must admit a hyperplane
-    separating it from the others (degenerate fits fail the check) whose
-    clearance against the point's confidence box is at least n * eps.
+    With margin eps = 2 sqrt(n) * bonus, the hyperplane through the other
+    points shifted by eps toward x^p must clear the confidence box around x^p
+    by at least n * eps: altitude_p - eps - bonus * ||v_p||_1 >= n * eps for
+    the unit facet normal v_p.  Degenerate estimates fail the check.
     """
-    if len(estimates) == 0:
-        return False
     n = len(estimates)
+    if n == 0:
+        return False
+    fit = separating_normals(estimates)
+    if fit is None:
+        return False
+    normals, altitudes = fit
     eps = 2.0 * math.sqrt(n) * bonus
-    for p in range(n):
-        plane = fit_separating_hyperplane(estimates, p, eps)
-        if plane is None:
-            return False
-        clearance = box_hyperplane_clearance(plane, ConfidenceBox(estimates[p], bonus))
-        if clearance < n * eps:
-            return False
-    return True
+    clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=1)
+    return bool(np.all(clearance >= n * eps))
 
 
 @dataclass(frozen=True)
@@ -182,27 +149,34 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     """
     n = oracle.game.n
     perms = resolve_permutations(config.perm_choice, n)
-    state = EpochState.fresh(n)
+    chains = [prefix_coalitions(w) for w in perms]
+    ranks = np.array([w.ranks for w in perms])
+    mu_grand = oracle.game.mu_grand if config.project_to_hn else None
+    totals = np.zeros((n, n))
+    epoch = 0
     next_check = 1
-    while state.epoch < config.max_epochs:
+    while epoch < config.max_epochs:
         target = min(next_check, config.max_epochs)
-        run_epochs(state, oracle, perms, target - state.epoch, config.delta,
-                   config.project_to_hn)
-        if stopping_condition(state.estimates, state.bonus):
-            return _report(state, n, stopped=True)
-        if state.epoch < config.check_dense_until:
-            next_check = state.epoch + 1
+        run_epochs(totals, oracle, chains, target - epoch)
+        epoch = target
+        estimates = vertex_estimates(totals, epoch, ranks, mu_grand)
+        bonus = confidence_bonus(epoch, n, config.delta)
+        if stopping_condition(estimates, bonus):
+            return _report(estimates, epoch, bonus, stopped=True)
+        if epoch < CHECK_DENSE_UNTIL:
+            next_check = epoch + 1
         else:
-            next_check = max(state.epoch + 1, int(state.epoch * config.check_growth))
-    return _report(state, n, stopped=False)
+            next_check = max(epoch + 1, int(epoch * CHECK_GROWTH))
+    return _report(estimates, epoch, bonus, stopped=False)
 
 
-def _report(state: EpochState, n: int, stopped: bool) -> RunReport:
+def _report(estimates: np.ndarray, epoch: int, bonus: float, stopped: bool) -> RunReport:
+    n = len(estimates)
     return RunReport(
-        allocation=mean_point(state.estimates),
-        epochs=state.epoch,
-        samples=state.epoch * n * n,
+        allocation=mean_point(estimates),
+        epochs=epoch,
+        samples=epoch * n * n,
         stopped_naturally=stopped,
-        estimates=tuple(state.estimates),
-        bonus=state.bonus,
+        estimates=tuple(estimates),
+        bonus=bonus,
     )

@@ -1,8 +1,12 @@
 import os
+from pathlib import Path
 
 import pytest
 
+from core_picker import cli
 from core_picker.cli import main, run_single, trial_streams
+
+OUT = Path(__file__).resolve().parent.parent / "out"
 
 
 def read_rows(path):
@@ -88,10 +92,33 @@ def test_usage_errors_exit_two():
         ["learn", "--n", "3", "--noise", "gaussian"],
         ["learn", "--n", "3", "--delta", "1.5"],
         ["cw", "--n", "1"],
+        ["learn", "--n", "21"],
+        ["learn", "--n", "3", "--noise", "uniform:0.1"],
+        ["sweep", "--n-max", "2", "--trials", "1", "--max-epochs", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_bad_learner_settings_fail_before_any_worker_starts(monkeypatch):
+    monkeypatch.setattr(cli, "_parallel_map", lambda fn, jobs: pytest.fail("workers started"))
+    for flag, value in (("--max-epochs", "0"), ("--delta", "1.5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n-max", "3", "--trials", "4", flag, value])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("strict_sweep.csv", ["--gen", "strict", "--seed", "42"]),
+    ("convex_sweep.csv", ["--gen", "convex", "--perms", "cyclic", "--seed", "7"]),
+])
+def test_sweep_reproduces_committed_output(tmp_path, name, argv):
+    # the arguments of scripts/reproduce.sh; out/ is part of the output contract
+    out = tmp_path / name
+    assert main(["sweep", *argv, "--n-min", "2", "--n-max", "6", "--trials", "20",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (OUT / name).read_bytes()
 
 
 def test_trial_streams_are_stable_and_distinct():

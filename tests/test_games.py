@@ -61,6 +61,8 @@ def test_gamespec_validation():
     with pytest.raises(ValueError):
         GameSpec(n=2, mu=np.array([0.0, 0.2, 0.3, 1.5]))  # out of [0, 1]
     with pytest.raises(ValueError):
+        GameSpec(n=2, mu=np.array([0.0, np.nan, 0.3, 1.0]))  # not a number
+    with pytest.raises(ValueError):
         GameSpec(n=2, mu=np.zeros(5))  # wrong table length
 
 
@@ -273,6 +275,21 @@ def test_save_load_simple(tmp_path):
     back = load_game(path)
     assert np.array_equal(back.mu, game.mu)
     assert back.noise == "bernoulli"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3] + lines[4:], "mask 2 is missing"),
+    (lambda lines: lines + [lines[2]], "mask 1 appears twice"),
+    (lambda lines: lines[:3] + [lines[2]] + lines[4:], "mask 1 appears twice"),
+    (lambda lines: lines + ["16 0.5"], "mask 16 out of range"),
+])
+def test_load_rejects_malformed_files(tmp_path, edit, message):
+    path = tmp_path / "g.txt"
+    save_game(gen_strictly_convex(4, 11), path)
+    lines = path.read_text().splitlines()  # header, then masks 0..15 in order
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_game(path)
 
 
 def test_adjacent_permutations_shape():

@@ -30,6 +30,7 @@ from core_picker.geometry import (
     fit_separating_hyperplane,
     in_simplex,
     mean_point,
+    separating_normals,
     simplex_width,
 )
 
@@ -126,6 +127,32 @@ def test_fit_hyperplane_construction_identity(seed, n):
         else:
             assert level - plane.offset == pytest.approx(eps, abs=1e-9)
     assert abs(plane.normal.sum()) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 10))
+def test_separating_normals_give_altitudes_and_facets(seed, n):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, n))
+    pts -= pts.mean(axis=1, keepdims=True) - 1.0  # common coordinate sum
+    normals, altitudes = separating_normals(pts)
+    assert np.allclose(altitudes, simplex_altitudes(pts), rtol=1e-9, atol=0.0)
+    for p in range(n):
+        v = normals[p]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert abs(v.sum()) < 1e-12
+        levels = pts @ v
+        others = np.delete(levels, p)
+        assert np.allclose(others, others[0], rtol=0.0, atol=1e-9)
+        assert levels[p] == pytest.approx(others[0] - altitudes[p], abs=1e-9)
+    duplicate = pts.copy()
+    duplicate[0] = pts[-1]
+    assert separating_normals(duplicate) is None
+    if n >= 3:  # x^0 on the affine hull of the others
+        weights = rng.random(n - 1)
+        on_hull = pts.copy()
+        on_hull[0] = weights / weights.sum() @ pts[1:]
+        assert separating_normals(on_hull) is None
 
 
 def test_two_points_separate_in_the_plane():

@@ -9,16 +9,16 @@ from core_picker.games import (
     gen_strictly_convex,
     gen_unit_game,
     marginal_vector,
+    prefix_coalitions,
 )
 from core_picker.learner import (
-    EpochState,
     LearnerConfig,
     common_points_picking,
     confidence_bonus,
     resolve_permutations,
-    run_epoch,
     run_epochs,
     stopping_condition,
+    vertex_estimates,
 )
 from core_picker.oracle import RewardOracle
 from core_picker.verify import core_membership
@@ -78,12 +78,38 @@ def test_resolve_permutations_counts():
 # epochs
 
 
+def advance(oracle, perms, k, totals=None):
+    """Prefix totals after k more epochs over the given permutations."""
+    if totals is None:
+        totals = np.zeros((len(perms), len(perms)))
+    run_epochs(totals, oracle, [prefix_coalitions(w) for w in perms], k)
+    return totals
+
+
+def ranks_of(perms):
+    return np.array([w.ranks for w in perms])
+
+
+def telescoped_means(totals, epochs, perms):
+    """Reference: walk each arrival order, crediting each player the step in
+    its prefix total."""
+    out = np.empty(totals.shape)
+    for p, w in enumerate(perms):
+        prev = 0.0
+        for player in w.arrival_order():
+            cur = totals[p, w.ranks[player]]
+            out[p, player] = (cur - prev) / epochs
+            prev = cur
+    return out
+
+
 def test_noise_free_epoch_recovers_exact_vertices():
     game = noise_free(gen_permutahedron, 3)
     oracle = RewardOracle(game, seed=5)
     perms = resolve_permutations("adjacent", 3)
-    state = run_epoch(EpochState.fresh(3), oracle, perms, delta=0.1)
-    for est, w in zip(state.estimates, perms):
+    totals = advance(oracle, perms, 1)
+    estimates = vertex_estimates(totals, 1, ranks_of(perms), game.mu_grand)
+    for est, w in zip(estimates, perms):
         assert np.allclose(est, marginal_vector(game, w), atol=1e-15)
 
 
@@ -91,45 +117,41 @@ def test_epoch_query_budget():
     game = gen_strictly_convex(4, 0)
     oracle = RewardOracle(game, seed=1)
     perms = resolve_permutations("adjacent", 4)
-    state = EpochState.fresh(4)
-    run_epoch(state, oracle, perms, delta=0.1)
+    totals = advance(oracle, perms, 1)
     assert oracle.sample_count == 16
-    run_epochs(state, oracle, perms, 9, delta=0.1)
+    advance(oracle, perms, 9, totals)
     assert oracle.sample_count == 160
-    assert state.epoch == 10
 
 
 def test_estimates_are_projected_running_means():
     game = gen_strictly_convex(3, 2)
     oracle = RewardOracle(game, seed=3)
     perms = resolve_permutations("adjacent", 3)
-    state = run_epochs(EpochState.fresh(3), oracle, perms, 50, delta=0.1)
-    sums = state.marginal_sums(perms)
+    totals = advance(oracle, perms, 50)
+    estimates = vertex_estimates(totals, 50, ranks_of(perms), game.mu_grand)
+    raw = telescoped_means(totals, 50, perms)
     for p in range(3):
-        raw = sums[p] / state.epoch
-        projected = raw + (game.mu_grand - raw.sum()) / 3
-        assert np.allclose(state.estimates[p], projected, atol=1e-12)
-        assert state.estimates[p].sum() == pytest.approx(game.mu_grand, abs=1e-10)
+        projected = raw[p] + (game.mu_grand - raw[p].sum()) / 3
+        assert np.allclose(estimates[p], projected, atol=1e-12)
+        assert estimates[p].sum() == pytest.approx(game.mu_grand, abs=1e-10)
 
 
 def test_unprojected_estimates_are_plain_means():
     game = gen_strictly_convex(3, 2)
     oracle = RewardOracle(game, seed=3)
-    perms = resolve_permutations("adjacent", 3)
-    state = run_epochs(EpochState.fresh(3), oracle, perms, 20, delta=0.1,
-                       project_to_hn=False)
-    sums = state.marginal_sums(perms)
-    for p in range(3):
-        assert np.allclose(state.estimates[p], sums[p] / 20, atol=1e-12)
+    perms = resolve_permutations("cyclic", 3)
+    totals = advance(oracle, perms, 20)
+    estimates = vertex_estimates(totals, 20, ranks_of(perms))
+    assert np.allclose(estimates, telescoped_means(totals, 20, perms), atol=1e-12)
 
 
 def test_bernoulli_unit_game_estimates_concentrate():
     game = gen_unit_game(3)
     oracle = RewardOracle(game, seed=123)
     perms = resolve_permutations("adjacent", 3)
-    state = run_epochs(EpochState.fresh(3), oracle, perms, 1000, delta=0.1)
-    for est in state.estimates:
-        assert np.abs(est - 1 / 3).max() < 0.05
+    totals = advance(oracle, perms, 1000)
+    estimates = vertex_estimates(totals, 1000, ranks_of(perms), game.mu_grand)
+    assert np.abs(estimates - 1 / 3).max() < 0.05
 
 
 # ---------------------------------------------------------------------------
