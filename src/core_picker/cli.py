@@ -165,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--delta", type=float, default=0.1)
     learn.add_argument("--seed", type=int, default=0)
     learn.add_argument("--noise", default="bernoulli",
-                       help="bernoulli or uniform:<radius>")
+                       help="bernoulli or uniform:<radius>; the generated games "
+                            "have mu(N) = 1, so they accept only uniform:0")
     learn.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
     learn.add_argument("--out", default=None, help="CSV path (default stdout)")
     learn.set_defaults(fn=cmd_learn)

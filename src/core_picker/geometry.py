@@ -97,17 +97,36 @@ def separating_normals(points):
     one level along it and x^p sits below by its altitude 1 / ||g_p||.
     Returns ``(normals, altitudes)``, or None when the points are affinely
     degenerate within RANK_TOL.
+
+    A (w, n, n) stack of point sets is solved in one stacked inverse and
+    gives stacked ``(normals, altitudes)``; a degenerate set there has NaN
+    altitudes instead of None.  When some set is exactly singular the stacked
+    inverse fails as a whole, so the sets are then inverted one by one.
     """
     pts = np.asarray(points, dtype=np.float64)
+    shifted = pts - pts.mean(axis=-1, keepdims=True) + 1.0
     try:
-        inverse = np.linalg.inv(pts - pts.mean(axis=1, keepdims=True) + 1.0)
+        inverse = np.linalg.inv(shifted)
     except np.linalg.LinAlgError:
-        return None
-    gradients = inverse - inverse.mean(axis=0)
-    altitudes = 1.0 / np.linalg.norm(gradients, axis=0)
-    if not np.all(altitudes > RANK_TOL):  # also rejects nan
-        return None
-    return -(gradients * altitudes).T, altitudes
+        if pts.ndim == 2:
+            return None
+        inverse = np.stack([_inverse_or_nan(m) for m in shifted])
+    gradients = inverse - inverse.mean(axis=-2, keepdims=True)
+    altitudes = 1.0 / np.linalg.norm(gradients, axis=-2)
+    degenerate = ~np.all(altitudes > RANK_TOL, axis=-1)  # also catches nan
+    if pts.ndim == 2:
+        if degenerate:
+            return None
+    else:
+        altitudes[degenerate] = np.nan
+    return -np.swapaxes(gradients * altitudes[..., None, :], -1, -2), altitudes
+
+
+def _inverse_or_nan(matrix: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return np.full_like(matrix, np.nan)
 
 
 def fit_separating_hyperplane(points, p: int, eps: float) -> Hyperplane | None:
@@ -151,16 +170,21 @@ def in_simplex(x, vertices, slack: float = MEMBERSHIP_TOL) -> bool:
 
     Solves for affine weights summing to one and accepts iff every weight is
     at least -slack.  Points off the affine hull of the vertices are outside.
-    Raises DegenerateSimplexError when the vertices fail the width test.
+    Raises DegenerateSimplexError when the weight system [V^T; 1] has a
+    singular value at most RANK_TOL, as computed by its least-squares solve.
+    The smallest one is at most ``simplex_width``: for a coordinate matrix D
+    and any unit vector u, weighting the reference vertex -sum(u) and the
+    others u gives w with ||w|| >= 1 and ||[V^T; 1] w|| = ||D u||.  So every
+    vertex set that fails the width test is rejected too.
     """
     verts = np.asarray(vertices, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if simplex_width(verts) <= RANK_TOL:
-        raise DegenerateSimplexError("vertices are affinely degenerate")
     n = verts.shape[0]
     system = np.vstack([verts.T, np.ones(n)])
     rhs = np.concatenate([x, [1.0]])
-    weights, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    weights, _, _, singular = np.linalg.lstsq(system, rhs, rcond=None)
+    if len(singular) < n or singular[-1] <= RANK_TOL:
+        raise DegenerateSimplexError("vertices are affinely degenerate")
     residual = np.abs(system @ weights - rhs).max()
     scale = 1.0 + np.abs(rhs).max()
     if residual > 1e-8 * scale:

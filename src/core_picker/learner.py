@@ -14,9 +14,18 @@ samples take milliseconds; the reported epoch is the first checked epoch at
 which the stopping condition held, at most ``CHECK_GROWTH`` times the exact
 one.
 
+The rule is checked once per window, the scheduled check epochs in
+(2^j, 2^(j+1)].  The run saves the oracle's state, advances through the
+window, stacks the totals of each check epoch, and decides the whole window
+in one stacked solve.  If some epoch passes, the oracle is rewound to the
+saved state and the window's advances are replayed up to the first passing
+epoch, so the random stream, the sample count and the report are exactly
+those of checking epoch by epoch.  The price is the advances past the first
+passing epoch and their replay, at most one window's worth, once per run.
+
 A run's state is built once from the n permutations, as their prefix masks
-``chains`` and player ranks ``ranks``, plus one n x n array ``totals`` of
-summed prefix rewards.
+``chains`` and the gather ``index`` of their player ranks, plus one n x n
+array ``totals`` of summed prefix rewards.
 """
 
 from __future__ import annotations
@@ -72,6 +81,14 @@ def resolve_permutations(choice, n: int) -> list[Permutation]:
 
 @dataclass(frozen=True)
 class LearnerConfig:
+    """Settings of one run.
+
+    With ``project_to_hn`` each estimate is shifted onto the efficiency plane
+    of the true mu(N): projection treats mu(N) as known and reads it from the
+    game (``oracle.game.mu_grand``), the one value the learner takes from
+    anywhere but the bandit's rewards.
+    """
+
     delta: float
     perm_choice: object = "adjacent"  # "adjacent" | "cyclic" | sequence of Permutation
     max_epochs: int = DEFAULT_MAX_EPOCHS
@@ -95,39 +112,78 @@ def run_epochs(totals: np.ndarray, oracle: RewardOracle, chains, k: int) -> None
             totals[p, i] += oracle.query_sum(coalition, k)
 
 
-def vertex_estimates(totals: np.ndarray, epochs: int, ranks: np.ndarray,
+def rank_index(ranks: np.ndarray) -> np.ndarray:
+    """Flat positions p * n + ranks[p, i] of an n x n table, built once per run.
+
+    Gathering a by-rank table at these positions puts row p in player order
+    (``ranks[p, i]`` is the rank of player i under permutation p).
+    """
+    n = len(ranks)
+    return ranks + n * np.arange(n)[:, None]
+
+
+def vertex_estimates(totals: np.ndarray, epochs, index: np.ndarray,
                      mu_grand: float | None = None) -> np.ndarray:
     """Row p: the mean marginal vector of permutation p, player-indexed.
 
-    Prefix totals telescope into per-rank means, and ``ranks[p, i]`` (the rank
-    of player i under permutation p) picks player i's entry.  With
+    Prefix totals telescope into per-rank means, which ``index`` (from
+    :func:`rank_index`) gathers into player order.  ``totals`` is one n x n
+    table, or a (w, n, n) stack with ``epochs`` a length-w sequence.  With
     ``mu_grand`` each row is shifted onto the efficiency hyperplane.
     """
-    by_rank = np.diff(totals, axis=1, prepend=0.0) / epochs
-    estimates = np.take_along_axis(by_rank, ranks, axis=1)
+    by_rank = np.array(totals, dtype=np.float64)
+    by_rank[..., 1:] -= totals[..., :-1]
+    by_rank /= np.asarray(epochs, dtype=np.float64)[..., None, None]
+    n = by_rank.shape[-1]
+    # take keeps the result C-ordered, so each row sums as in the n x n case
+    estimates = by_rank.reshape(by_rank.shape[:-2] + (n * n,)).take(index, axis=-1)
     if mu_grand is not None:
-        estimates += (mu_grand - estimates.sum(axis=1, keepdims=True)) / len(ranks)
+        estimates += (mu_grand - estimates.sum(axis=-1, keepdims=True)) / n
     return estimates
 
 
-def stopping_condition(estimates, bonus: float) -> bool:
+def stopping_condition(estimates, bonus):
     """True when every estimated vertex clears its separating hyperplane.
 
     With margin eps = 2 sqrt(n) * bonus, the hyperplane through the other
     points shifted by eps toward x^p must clear the confidence box around x^p
     by at least n * eps: altitude_p - eps - bonus * ||v_p||_1 >= n * eps for
     the unit facet normal v_p.  Degenerate estimates fail the check.
+
+    A (w, n, n) stack of estimates with w bonuses is decided in one stacked
+    solve and gives a boolean array of w decisions.
     """
-    n = len(estimates)
-    if n == 0:
+    pts = np.asarray(estimates, dtype=np.float64)
+    if pts.size == 0:
         return False
-    fit = separating_normals(estimates)
+    fit = separating_normals(pts)
     if fit is None:
         return False
     normals, altitudes = fit
+    n = pts.shape[-1]
+    bonus = np.asarray(bonus, dtype=np.float64)[..., None]
     eps = 2.0 * math.sqrt(n) * bonus
-    clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=1)
-    return bool(np.all(clearance >= n * eps))
+    clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=-1)
+    passed = np.all(clearance >= n * eps, axis=-1)  # nan altitudes fail
+    return bool(passed) if pts.ndim == 2 else passed
+
+
+def check_window(epoch: int, max_epochs: int) -> list[int]:
+    """The scheduled checks after ``epoch`` in the doubling window of the next.
+
+    Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
+    ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The next check t
+    lies in the window (2^j, 2^(j+1)] with 2^j < t <= 2^(j+1).
+    """
+    def following(t):
+        step = t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH))
+        return min(step, max_epochs)
+
+    window = [following(epoch)]
+    end = 1 << (window[0] - 1).bit_length()
+    while window[-1] < max_epochs and following(window[-1]) <= end:
+        window.append(following(window[-1]))
+    return window
 
 
 @dataclass(frozen=True)
@@ -150,24 +206,30 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     n = oracle.game.n
     perms = resolve_permutations(config.perm_choice, n)
     chains = [prefix_coalitions(w) for w in perms]
-    ranks = np.array([w.ranks for w in perms])
+    index = rank_index(np.array([w.ranks for w in perms]))
     mu_grand = oracle.game.mu_grand if config.project_to_hn else None
     totals = np.zeros((n, n))
     epoch = 0
-    next_check = 1
     while epoch < config.max_epochs:
-        target = min(next_check, config.max_epochs)
-        run_epochs(totals, oracle, chains, target - epoch)
-        epoch = target
-        estimates = vertex_estimates(totals, epoch, ranks, mu_grand)
-        bonus = confidence_bonus(epoch, n, config.delta)
-        if stopping_condition(estimates, bonus):
-            return _report(estimates, epoch, bonus, stopped=True)
-        if epoch < CHECK_DENSE_UNTIL:
-            next_check = epoch + 1
-        else:
-            next_check = max(epoch + 1, int(epoch * CHECK_GROWTH))
-    return _report(estimates, epoch, bonus, stopped=False)
+        start, saved = epoch, oracle.state
+        window = check_window(epoch, config.max_epochs)
+        stack = np.empty((len(window), n, n))
+        for i, target in enumerate(window):
+            run_epochs(totals, oracle, chains, target - epoch)
+            epoch = target
+            stack[i] = totals
+        estimates = vertex_estimates(stack, window, index, mu_grand)
+        bonuses = [confidence_bonus(t, n, config.delta) for t in window]
+        passed = stopping_condition(estimates, bonuses)
+        if passed.any():
+            first = int(passed.argmax())
+            oracle.state = saved  # replay up to the first pass, as if checked epoch by epoch
+            replay = np.zeros((n, n))
+            for target in window[:first + 1]:
+                run_epochs(replay, oracle, chains, target - start)
+                start = target
+            return _report(estimates[first], window[first], bonuses[first], stopped=True)
+    return _report(estimates[-1], epoch, bonuses[-1], stopped=False)
 
 
 def _report(estimates: np.ndarray, epoch: int, bonus: float, stopped: bool) -> RunReport:

@@ -103,3 +103,16 @@ class RewardOracle:
     @property
     def sample_count(self) -> int:
         return self.total_queries
+
+    @property
+    def state(self):
+        """The bit-generator state and the sample count.
+
+        Assigning a value read earlier rewinds the oracle: the draws after it
+        repeat exactly.  A property rather than a method, so it is not a query.
+        """
+        return self.rng.bit_generator.state, self.total_queries
+
+    @state.setter
+    def state(self, value) -> None:
+        self.rng.bit_generator.state, self.total_queries = value

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from core_picker import cli
 from core_picker.cli import main, run_single, trial_streams
 
 OUT = Path(__file__).resolve().parent.parent / "out"
+SUMMARIZE = OUT.parent / "scripts" / "summarize_sweep.py"
 
 
 def read_rows(path):
@@ -110,15 +113,21 @@ def test_bad_learner_settings_fail_before_any_worker_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("strict_sweep.csv", ["--gen", "strict", "--seed", "42"]),
-    ("convex_sweep.csv", ["--gen", "convex", "--perms", "cyclic", "--seed", "7"]),
+    ("strict_sweep.csv", ["sweep", "--gen", "strict", "--n-min", "2", "--n-max", "6",
+                          "--trials", "20", "--seed", "42"]),
+    ("convex_sweep.csv", ["sweep", "--gen", "convex", "--perms", "cyclic", "--n-min", "2",
+                          "--n-max", "6", "--trials", "20", "--seed", "7"]),
+    ("cw.csv", ["cw", "--n", "10", "50", "--trials", "500", "--seed", "0"]),
 ])
 def test_sweep_reproduces_committed_output(tmp_path, name, argv):
-    # the arguments of scripts/reproduce.sh; out/ is part of the output contract
+    # the commands of scripts/reproduce.sh; every file in out/ is part of the output contract
     out = tmp_path / name
-    assert main(["sweep", *argv, "--n-min", "2", "--n-max", "6", "--trials", "20",
-                 "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (OUT / name).read_bytes()
+    if argv[0] == "sweep":
+        summary = subprocess.run([sys.executable, str(SUMMARIZE), str(out)],
+                                 capture_output=True, check=True)
+        assert summary.stdout == (OUT / name.replace("_sweep", "_medians")).read_bytes()
 
 
 def test_trial_streams_are_stable_and_distinct():

@@ -11,10 +11,15 @@ from core_picker.games import (
     marginal_vector,
     prefix_coalitions,
 )
+from core_picker.geometry import mean_point
 from core_picker.learner import (
+    CHECK_DENSE_UNTIL,
+    CHECK_GROWTH,
     LearnerConfig,
+    check_window,
     common_points_picking,
     confidence_bonus,
+    rank_index,
     resolve_permutations,
     run_epochs,
     stopping_condition,
@@ -86,8 +91,8 @@ def advance(oracle, perms, k, totals=None):
     return totals
 
 
-def ranks_of(perms):
-    return np.array([w.ranks for w in perms])
+def index_of(perms):
+    return rank_index(np.array([w.ranks for w in perms]))
 
 
 def telescoped_means(totals, epochs, perms):
@@ -108,7 +113,7 @@ def test_noise_free_epoch_recovers_exact_vertices():
     oracle = RewardOracle(game, seed=5)
     perms = resolve_permutations("adjacent", 3)
     totals = advance(oracle, perms, 1)
-    estimates = vertex_estimates(totals, 1, ranks_of(perms), game.mu_grand)
+    estimates = vertex_estimates(totals, 1, index_of(perms), game.mu_grand)
     for est, w in zip(estimates, perms):
         assert np.allclose(est, marginal_vector(game, w), atol=1e-15)
 
@@ -128,7 +133,7 @@ def test_estimates_are_projected_running_means():
     oracle = RewardOracle(game, seed=3)
     perms = resolve_permutations("adjacent", 3)
     totals = advance(oracle, perms, 50)
-    estimates = vertex_estimates(totals, 50, ranks_of(perms), game.mu_grand)
+    estimates = vertex_estimates(totals, 50, index_of(perms), game.mu_grand)
     raw = telescoped_means(totals, 50, perms)
     for p in range(3):
         projected = raw[p] + (game.mu_grand - raw[p].sum()) / 3
@@ -141,8 +146,26 @@ def test_unprojected_estimates_are_plain_means():
     oracle = RewardOracle(game, seed=3)
     perms = resolve_permutations("cyclic", 3)
     totals = advance(oracle, perms, 20)
-    estimates = vertex_estimates(totals, 20, ranks_of(perms))
+    estimates = vertex_estimates(totals, 20, index_of(perms))
     assert np.allclose(estimates, telescoped_means(totals, 20, perms), atol=1e-12)
+
+
+def test_window_stack_estimates_equal_single_tables():
+    # n = 9 rows are long enough for numpy's unrolled row sums
+    game = gen_strictly_convex(9, 4)
+    oracle = RewardOracle(game, seed=8)
+    perms = resolve_permutations("cyclic", 9)
+    epochs, tables, totals = [3, 7, 12], [], None
+    for k in (3, 4, 5):
+        totals = advance(oracle, perms, k, totals)
+        tables.append(totals.copy())
+    stack = np.array(tables)
+    for mu_grand in (None, game.mu_grand):
+        stacked = vertex_estimates(stack, epochs, index_of(perms), mu_grand)
+        for table, ep, est in zip(tables, epochs, stacked):
+            assert np.array_equal(est, vertex_estimates(table, ep, index_of(perms), mu_grand))
+            if mu_grand is None:
+                assert np.array_equal(est, telescoped_means(table, ep, perms))
 
 
 def test_bernoulli_unit_game_estimates_concentrate():
@@ -150,7 +173,7 @@ def test_bernoulli_unit_game_estimates_concentrate():
     oracle = RewardOracle(game, seed=123)
     perms = resolve_permutations("adjacent", 3)
     totals = advance(oracle, perms, 1000)
-    estimates = vertex_estimates(totals, 1000, ranks_of(perms), game.mu_grand)
+    estimates = vertex_estimates(totals, 1000, index_of(perms), game.mu_grand)
     assert np.abs(estimates - 1 / 3).max() < 0.05
 
 
@@ -177,6 +200,24 @@ def test_stopping_duplicate_points_false():
 def test_stopping_large_bonus_false():
     points = [np.eye(3)[i] for i in range(3)]
     assert stopping_condition(points, 10.0) is False
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_stacked_stopping_equals_per_item_calls(singular):
+    rng = np.random.default_rng(11 + singular)
+    for n in (2, 3, 5, 9):
+        for w in (1, 4, 15):
+            points = rng.random((w, n, n))
+            if singular:
+                # 0/1 means as after one Bernoulli epoch: many exactly singular sets
+                points = np.round(points)
+                points[0, 1] = points[0, 0]
+            bonuses = rng.random(w) * 0.02
+            stacked = stopping_condition(points, bonuses)
+            assert stacked.shape == (w,)
+            single = [stopping_condition(p, float(b)) for p, b in zip(points, bonuses)]
+            assert all(type(s) is bool for s in single)
+            assert stacked.tolist() == single
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +314,119 @@ def test_projection_off_leaves_raw_means():
     sums = [float(e.sum()) for e in report.estimates]
     assert all(abs(s - game.mu_grand) < 0.05 for s in sums)
     assert any(s != game.mu_grand for s in sums)
+
+
+def test_check_windows_split_the_schedule_at_powers_of_two():
+    epoch, windows = 0, []
+    while epoch < 1000:
+        windows.append(check_window(epoch, 1000))
+        epoch = windows[-1][-1]
+    assert windows[:4] == [[1], [2], [3, 4], [5, 6, 7, 8]]
+    assert windows[6] == list(range(33, 65))
+    assert windows[7] == [67, 70, 73, 76, 79, 82, 86, 90, 94, 98, 102, 107, 112, 117, 122, 128]
+    assert windows[-1][-1] == 1000  # the cap is the last check
+    for j, window in enumerate(windows):
+        assert all(2 ** (j - 1) < t <= 2 ** j for t in window)
+
+
+def one_check_per_epoch(oracle, config):
+    """Reference: check the stopping rule at every scheduled epoch in turn."""
+    n = oracle.game.n
+    perms = resolve_permutations(config.perm_choice, n)
+    mu_grand = oracle.game.mu_grand if config.project_to_hn else None
+    totals = None
+    epoch, next_check = 0, 1
+    while epoch < config.max_epochs:
+        target = min(next_check, config.max_epochs)
+        totals = advance(oracle, perms, target - epoch, totals)
+        epoch = target
+        estimates = vertex_estimates(totals, epoch, index_of(perms), mu_grand)
+        bonus = confidence_bonus(epoch, n, config.delta)
+        if stopping_condition(estimates, bonus):
+            return estimates, epoch, bonus, True
+        if epoch < CHECK_DENSE_UNTIL:
+            next_check = epoch + 1
+        else:
+            next_check = max(epoch + 1, int(epoch * CHECK_GROWTH))
+    return estimates, epoch, bonus, False
+
+
+def assert_matches_reference(game, seed, config):
+    reference, oracle = RewardOracle(game, seed), RewardOracle(game, seed)
+    estimates, epoch, bonus, stopped = one_check_per_epoch(reference, config)
+    report = common_points_picking(oracle, config)
+    assert (report.epochs, report.stopped_naturally, report.bonus) == (epoch, stopped, bonus)
+    assert report.samples == epoch * game.n**2 == oracle.sample_count == reference.sample_count
+    assert report.allocation.tobytes() == mean_point(estimates).tobytes()
+    assert oracle.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("choice", ["adjacent", "cyclic"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_windowed_run_matches_one_check_per_epoch(n, choice):
+    config = LearnerConfig(delta=0.1, perm_choice=choice)
+    assert_matches_reference(gen_strictly_convex(n, n), 40 + n, config)
+
+
+@pytest.mark.parametrize("cap", [1, 65, 100, 20_000])
+def test_capped_unit_run_matches_one_check_per_epoch(cap):
+    # caps that end a window early, after the dense phase, and deep in it
+    config = LearnerConfig(delta=0.1, max_epochs=cap)
+    assert_matches_reference(gen_unit_game(4), 9, config)
+
+
+def test_unprojected_and_noise_free_runs_match_one_check_per_epoch():
+    from core_picker.games import GameSpec
+
+    scaled = GameSpec(n=3, mu=gen_strictly_convex(3, 5).mu * 0.8)
+    assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, project_to_hn=False,
+                                                      max_epochs=10**5))
+    for game in (noise_free(gen_strictly_convex, 4, 3), noise_free(gen_permutahedron, 5)):
+        assert_matches_reference(game, 2, LearnerConfig(delta=0.1))
+
+
+class KnownGrandValue:
+    """What the learner may know of the game: n and mu(N), never the table."""
+
+    def __init__(self, game):
+        self.n, self.mu_grand = game.n, game.mu_grand
+
+    @property
+    def mu(self):
+        raise AssertionError("the learner read the game table")
+
+
+class BanditView:
+    """An oracle cut down to rewards, the rewind state and KnownGrandValue."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.game = KnownGrandValue(oracle.game)
+
+    def query_sum(self, S, k):
+        return self._oracle.query_sum(S, k)
+
+    @property
+    def state(self):
+        return self._oracle.state
+
+    @state.setter
+    def state(self, value):
+        self._oracle.state = value
+
+
+@pytest.mark.parametrize("game, cap", [(gen_strictly_convex(3, 1), 10**12),
+                                       (gen_strictly_convex(5, 2), 10**12),
+                                       (gen_unit_game(3), 5_000)])
+def test_learner_sees_only_the_bandit(game, cap):
+    config = LearnerConfig(delta=0.1, max_epochs=cap)
+    direct = common_points_picking(RewardOracle(game, seed=4), config)
+    oracle = RewardOracle(game, seed=4)
+    report = common_points_picking(BanditView(oracle), config)
+    assert (report.epochs, report.stopped_naturally) == (direct.epochs, direct.stopped_naturally)
+    assert report.allocation.tobytes() == direct.allocation.tobytes()
+    assert oracle.sample_count == report.samples
+    assert report.stopped_naturally == (cap > 5_000)
 
 
 def test_run_is_deterministic_given_seed():

@@ -44,6 +44,19 @@ def test_determinism_same_seed_same_rewards():
     assert [first.query(S) for S in seq] == [second.query(S) for S in seq]
 
 
+@pytest.mark.parametrize("noise", ["bernoulli", "uniform:0.1"])
+def test_assigning_a_saved_state_rewinds_draws_and_count(noise):
+    oracle = RewardOracle(small_game([0.3, 0.5, 0.8], noise), seed=3)
+    oracle.query_sum(1, 5)
+    saved = oracle.state
+    first = [oracle.query_sum(S, k) for S, k in ((1, 7), (3, 1000), (2, 1))]
+    count = oracle.sample_count
+    oracle.state = saved
+    assert oracle.sample_count == 5
+    assert [oracle.query_sum(S, k) for S, k in ((1, 7), (3, 1000), (2, 1))] == first
+    assert oracle.sample_count == count
+
+
 def test_bernoulli_degenerate_mean_one():
     oracle = RewardOracle(small_game([0.2, 0.4, 1.0]), seed=7)
     assert all(oracle.query(3) == 1.0 for _ in range(50))
