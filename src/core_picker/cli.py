@@ -35,8 +35,8 @@ from .verify import core_membership
 GENERATORS = {
     "strict": gen_strictly_convex,
     "convex": gen_convex_boundary,
-    "unit": lambda n, seed, noise: gen_unit_game(n, noise),
-    "permutahedron": lambda n, seed, noise: gen_permutahedron(n, noise),
+    "unit": lambda n, seed: gen_unit_game(n),
+    "permutahedron": lambda n, seed: gen_permutahedron(n),
 }
 
 
@@ -49,8 +49,8 @@ def trial_streams(seed: int, n: int, trial: int):
 def run_single(n, gen, perm_choice, delta, seed, noise, max_epochs, trial=0):
     """One full pipeline run: generate, learn, verify.  Returns a result dict."""
     game_stream, oracle_stream = trial_streams(seed, n, trial)
-    game = GENERATORS[gen](n, game_stream, noise)
-    oracle = RewardOracle(game, oracle_stream)
+    game = GENERATORS[gen](n, game_stream)
+    oracle = RewardOracle(game, oracle_stream, noise)
     config = LearnerConfig(delta=delta, perm_choice=perm_choice, max_epochs=max_epochs)
     report = common_points_picking(oracle, config)
     check = core_membership(game, report.allocation, tol=MEMBERSHIP_TOL)
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         return args.fn(args)
-    except ValueError as exc:  # a game, noise model or learner config rejected an argument
+    except ValueError as exc:  # a game, the oracle or the learner config rejected an argument
         parser.error(str(exc))
 
 

@@ -132,13 +132,11 @@ class GameSpec:
 
     ``mu[mask]`` is the expected reward of the coalition with that bit-mask.
     The empty coalition has reward exactly 0 and all values lie in [0, 1].
-    ``noise`` tags the reward distribution used by the bandit oracle
-    ("bernoulli" or "uniform:<radius>").
+    The reward distribution around these means belongs to the bandit oracle.
     """
 
     n: int
     mu: np.ndarray = field(repr=False)
-    noise: str = "bernoulli"
 
     def __post_init__(self):
         _check_player_count(self.n)
@@ -222,33 +220,30 @@ def marginal_increments(n: int, seed, coeff: float = 0.9) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _table_from_increments(increments: np.ndarray, noise: str) -> GameSpec:
+def _table_from_increments(increments: np.ndarray) -> GameSpec:
     n = len(increments)
     values = np.concatenate([[0.0], np.cumsum(increments)])
     values[n] = 1.0  # guard cumsum rounding at the grand coalition
     mu = values[coalition_sizes(n)]
-    return GameSpec(n=n, mu=mu, noise=noise)
+    return GameSpec(n=n, mu=mu)
 
 
-def gen_strictly_convex(n: int, seed, noise: str = "bernoulli") -> GameSpec:
+def gen_strictly_convex(n: int, seed) -> GameSpec:
     """Random strictly convex game with noise amplitude 0.9 on the increments."""
-    return _table_from_increments(marginal_increments(n, seed, coeff=0.9), noise)
+    return _table_from_increments(marginal_increments(n, seed, coeff=0.9))
 
 
-def gen_convex_boundary(n: int, seed, noise: str = "bernoulli") -> GameSpec:
+def gen_convex_boundary(n: int, seed) -> GameSpec:
     """Random game on the convexity boundary: amplitude 1.0, margin can reach 0."""
-    return _table_from_increments(marginal_increments(n, seed, coeff=1.0), noise)
+    return _table_from_increments(marginal_increments(n, seed, coeff=1.0))
 
 
-def gen_unit_game(n: int, noise: str = "bernoulli") -> GameSpec:
+def gen_unit_game(n: int) -> GameSpec:
     """mu(S) = |S| / n: convex but not strictly, one-point core at (1/n) 1."""
-    if n < 2:
-        raise ValueError("need at least two players")
-    mu = coalition_sizes(n) / n
-    return GameSpec(n=n, mu=mu, noise=noise)
+    return GameSpec(n=n, mu=coalition_sizes(n) / n)
 
 
-def gen_permutahedron(n: int, noise: str = "bernoulli") -> GameSpec:
+def gen_permutahedron(n: int) -> GameSpec:
     """mu(S) = g(|S|) / g(n) with g(k) = k (k + 1) / 2.
 
     Every marginal vector is (rank+1 profile) / g(n), so the core is the
@@ -256,13 +251,13 @@ def gen_permutahedron(n: int, noise: str = "bernoulli") -> GameSpec:
     """
     sizes = coalition_sizes(n)
     g = sizes * (sizes + 1) / 2.0
-    return GameSpec(n=n, mu=g / g[-1], noise=noise)
+    return GameSpec(n=n, mu=g / g[-1])
 
 
 def save_game(game: GameSpec, path) -> None:
-    """Write the flat text format: header, then one ``mask value`` line per entry."""
+    """Write the flat text format: header ``n=<n>``, then ``mask value`` lines."""
     with open(path, "w") as fh:
-        fh.write(f"n={game.n} noise={game.noise}\n")
+        fh.write(f"n={game.n}\n")
         for mask, value in enumerate(game.mu):
             fh.write(f"{mask} {value:.17g}\n")
 
@@ -270,13 +265,15 @@ def save_game(game: GameSpec, path) -> None:
 def load_game(path) -> GameSpec:
     """Read a game written by :func:`save_game`; round-trips exactly.
 
-    Raises ValueError naming the mask when one is out of range, repeated or
-    missing.
+    The header's other fields, such as the ``noise=`` tag of older files, are
+    ignored.  Raises ValueError when the header has no ``n=``, and naming the
+    mask when one is out of range, repeated or missing.
     """
     with open(path) as fh:
-        header = fh.readline().split()
-        fields = dict(part.split("=", 1) for part in header)
-        n = int(fields["n"])
+        counts = [part[2:] for part in fh.readline().split() if part.startswith("n=")]
+        if not counts:
+            raise ValueError("game file header has no n=<players>")
+        n = int(counts[0])
         _check_player_count(n)
         mu = np.zeros(1 << n)
         seen = np.zeros(1 << n, dtype=bool)
@@ -291,7 +288,7 @@ def load_game(path) -> GameSpec:
             mu[mask] = float(value_s)
     if not seen.all():
         raise ValueError(f"mask {int(np.argmin(seen))} is missing")
-    return GameSpec(n=n, mu=mu, noise=fields["noise"])
+    return GameSpec(n=n, mu=mu)
 
 
 def all_permutations(n: int):

@@ -88,7 +88,7 @@ def test_cw_output_columns_and_positive_width(tmp_path):
         assert float(row[3]) > 0.0
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     for argv in (
         ["sweep", "--n-min", "2", "--n-max", "12"],
         ["learn", "--n", "1"],
@@ -97,11 +97,14 @@ def test_usage_errors_exit_two():
         ["cw", "--n", "1"],
         ["learn", "--n", "21"],
         ["learn", "--n", "3", "--noise", "uniform:0.1"],
+        ["learn", "--n", "3", "--noise", "uniform:nan"],
+        ["learn", "--n", "3", "--noise", "uniform:inf"],
         ["sweep", "--n-max", "2", "--trials", "1", "--max-epochs", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
 
 
 def test_bad_learner_settings_fail_before_any_worker_starts(monkeypatch):

@@ -66,6 +66,18 @@ def test_gamespec_validation():
         GameSpec(n=2, mu=np.zeros(5))  # wrong table length
 
 
+@pytest.mark.parametrize("generate", [
+    lambda n: gen_strictly_convex(n, 0),
+    lambda n: gen_convex_boundary(n, 0),
+    gen_unit_game,
+    gen_permutahedron,
+], ids=["strict", "convex", "unit", "permutahedron"])
+@pytest.mark.parametrize("n", [1, 21])
+def test_generators_reject_player_counts_out_of_range(generate, n):
+    with pytest.raises(ValueError, match=f"player count {n} outside"):
+        generate(n)
+
+
 # ---------------------------------------------------------------------------
 # permutations and prefixes
 
@@ -258,13 +270,12 @@ def test_save_load_roundtrip_exact(values):
 
     mu = np.array([0.0] + values)
     n = mu.size.bit_length() - 1
-    game = GameSpec(n=n, mu=mu, noise="uniform:0.012345678901234567")
+    game = GameSpec(n=n, mu=mu)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/game.txt"
         save_game(game, path)
         back = load_game(path)
     assert back.n == game.n
-    assert back.noise == game.noise
     assert np.array_equal(back.mu, game.mu)
 
 
@@ -274,7 +285,6 @@ def test_save_load_simple(tmp_path):
     save_game(game, path)
     back = load_game(path)
     assert np.array_equal(back.mu, game.mu)
-    assert back.noise == "bernoulli"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -282,14 +292,27 @@ def test_save_load_simple(tmp_path):
     (lambda lines: lines + [lines[2]], "mask 1 appears twice"),
     (lambda lines: lines[:3] + [lines[2]] + lines[4:], "mask 1 appears twice"),
     (lambda lines: lines + ["16 0.5"], "mask 16 out of range"),
+    (lambda lines: ["players=4"] + lines[1:], "header has no n="),
+    (lambda lines: [""] + lines[1:], "header has no n="),
+    (lambda lines: [], "header has no n="),
 ])
 def test_load_rejects_malformed_files(tmp_path, edit, message):
     path = tmp_path / "g.txt"
     save_game(gen_strictly_convex(4, 11), path)
     lines = path.read_text().splitlines()  # header, then masks 0..15 in order
-    path.write_text("\n".join(edit(lines)) + "\n")
+    path.write_text("".join(line + "\n" for line in edit(lines)))
     with pytest.raises(ValueError, match=message):
         load_game(path)
+
+
+def test_load_ignores_other_header_fields(tmp_path):
+    game = gen_strictly_convex(4, 11)
+    path = tmp_path / "g.txt"
+    save_game(game, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n=4"
+    path.write_text("\n".join(["n=4 noise=bernoulli", *lines[1:]]) + "\n")  # older header
+    assert np.array_equal(load_game(path).mu, game.mu)
 
 
 def test_adjacent_permutations_shape():

@@ -29,8 +29,9 @@ from core_picker.oracle import RewardOracle
 from core_picker.verify import core_membership
 
 
-def noise_free(game_fn, *args):
-    return game_fn(*args, noise="uniform:0")
+def noise_free(game, seed):
+    """An oracle whose every reward equals its mean."""
+    return RewardOracle(game, seed, "uniform:0")
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +110,8 @@ def telescoped_means(totals, epochs, perms):
 
 
 def test_noise_free_epoch_recovers_exact_vertices():
-    game = noise_free(gen_permutahedron, 3)
-    oracle = RewardOracle(game, seed=5)
+    game = gen_permutahedron(3)
+    oracle = noise_free(game, 5)
     perms = resolve_permutations("adjacent", 3)
     totals = advance(oracle, perms, 1)
     estimates = vertex_estimates(totals, 1, index_of(perms), game.mu_grand)
@@ -225,8 +226,8 @@ def test_stacked_stopping_equals_per_item_calls(singular):
 
 
 def test_noise_free_permutahedron_run_returns_vertex_average():
-    game = noise_free(gen_permutahedron, 3)
-    oracle = RewardOracle(game, seed=0)
+    game = gen_permutahedron(3)
+    oracle = noise_free(game, 0)
     report = common_points_picking(oracle, LearnerConfig(delta=0.1))
     assert report.stopped_naturally
     perms = resolve_permutations("adjacent", 3)
@@ -351,8 +352,8 @@ def one_check_per_epoch(oracle, config):
     return estimates, epoch, bonus, False
 
 
-def assert_matches_reference(game, seed, config):
-    reference, oracle = RewardOracle(game, seed), RewardOracle(game, seed)
+def assert_matches_reference(game, seed, config, noise="bernoulli"):
+    reference, oracle = RewardOracle(game, seed, noise), RewardOracle(game, seed, noise)
     estimates, epoch, bonus, stopped = one_check_per_epoch(reference, config)
     report = common_points_picking(oracle, config)
     assert (report.epochs, report.stopped_naturally, report.bonus) == (epoch, stopped, bonus)
@@ -381,8 +382,8 @@ def test_unprojected_and_noise_free_runs_match_one_check_per_epoch():
     scaled = GameSpec(n=3, mu=gen_strictly_convex(3, 5).mu * 0.8)
     assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, project_to_hn=False,
                                                       max_epochs=10**5))
-    for game in (noise_free(gen_strictly_convex, 4, 3), noise_free(gen_permutahedron, 5)):
-        assert_matches_reference(game, 2, LearnerConfig(delta=0.1))
+    for game in (gen_strictly_convex(4, 3), gen_permutahedron(5)):
+        assert_matches_reference(game, 2, LearnerConfig(delta=0.1), noise="uniform:0")
 
 
 class KnownGrandValue:

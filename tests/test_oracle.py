@@ -2,22 +2,25 @@ import numpy as np
 import pytest
 
 from core_picker.games import GameSpec, gen_strictly_convex, gen_unit_game
-from core_picker.oracle import NoiseModel, RewardOracle
+from core_picker.oracle import RewardOracle
 
 
-def small_game(values, noise="bernoulli"):
+def small_game(values):
     mu = np.zeros(4)
     mu[1], mu[2], mu[3] = values
-    return GameSpec(n=2, mu=mu, noise=noise)
+    return GameSpec(n=2, mu=mu)
 
 
-def test_noise_model_parsing():
-    assert NoiseModel.parse("bernoulli").kind == "bernoulli"
-    m = NoiseModel.parse("uniform:0.25")
-    assert m.kind == "uniform" and m.radius == 0.25
-    assert NoiseModel.parse(m.tag) == m
-    with pytest.raises(ValueError):
-        NoiseModel.parse("gaussian")
+def test_noise_tag_parsing():
+    game = small_game([0.3, 0.5, 0.7])
+    assert RewardOracle(game, 0).radius is None
+    assert RewardOracle(game, 0, "bernoulli").radius is None
+    assert RewardOracle(game, 0, "uniform:0.25").radius == 0.25
+    assert RewardOracle(game, 0, "uniform:0").radius == 0.0
+    for tag in ("gaussian", "uniform", "uniform:", "uniform:-0.1", "uniform:nan",
+                "uniform:inf", "uniform:-inf", "Bernoulli"):
+        with pytest.raises(ValueError):
+            RewardOracle(game, 0, tag)
 
 
 def test_empty_coalition_is_free():
@@ -46,7 +49,7 @@ def test_determinism_same_seed_same_rewards():
 
 @pytest.mark.parametrize("noise", ["bernoulli", "uniform:0.1"])
 def test_assigning_a_saved_state_rewinds_draws_and_count(noise):
-    oracle = RewardOracle(small_game([0.3, 0.5, 0.8], noise), seed=3)
+    oracle = RewardOracle(small_game([0.3, 0.5, 0.8]), 3, noise)
     oracle.query_sum(1, 5)
     saved = oracle.state
     first = [oracle.query_sum(S, k) for S, k in ((1, 7), (3, 1000), (2, 1))]
@@ -74,8 +77,7 @@ def test_bernoulli_sample_mean_close():
     ("uniform:0.2", 0.3, (0.2 / np.sqrt(3)) / np.sqrt(1e5)),
 ])
 def test_mean_correctness_within_three_standard_errors(noise, mu_S, se):
-    game = small_game([mu_S, 0.5, 0.8], noise=noise)
-    oracle = RewardOracle(game, seed=2)
+    oracle = RewardOracle(small_game([mu_S, 0.5, 0.8]), 2, noise)
     mean = oracle.query_sum(1, 10**5) / 10**5
     assert abs(mean - mu_S) < 3 * se
 
@@ -83,21 +85,20 @@ def test_mean_correctness_within_three_standard_errors(noise, mu_S, se):
 def test_uniform_rejects_support_leaving_unit_interval():
     # mu(N) = 1.0 so any positive radius exits [0, 1]
     with pytest.raises(ValueError):
-        RewardOracle(small_game([0.3, 0.5, 1.0], noise="uniform:0.1"), seed=0)
+        RewardOracle(small_game([0.3, 0.5, 1.0]), 0, "uniform:0.1")
     # interior values are fine
-    RewardOracle(small_game([0.3, 0.5, 0.8], noise="uniform:0.1"), seed=0)
+    RewardOracle(small_game([0.3, 0.5, 0.8]), 0, "uniform:0.1")
 
 
 def test_uniform_zero_radius_returns_exact_means():
-    game = gen_unit_game(3, noise="uniform:0")
-    oracle = RewardOracle(game, seed=0)
+    game = gen_unit_game(3)
+    oracle = RewardOracle(game, 0, "uniform:0")
     assert oracle.query(0b011) == game.mu[0b011]
     assert oracle.query_sum(0b111, 4) == 4 * game.mu[0b111]
 
 
 def test_uniform_draws_stay_in_support():
-    game = small_game([0.3, 0.5, 0.8], noise="uniform:0.2")
-    oracle = RewardOracle(game, seed=5)
+    oracle = RewardOracle(small_game([0.3, 0.5, 0.8]), 5, "uniform:0.2")
     draws = np.array([oracle.query(1) for _ in range(2000)])
     assert draws.min() >= 0.1 - 1e-12 and draws.max() <= 0.5 + 1e-12
 
