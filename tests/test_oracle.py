@@ -11,7 +11,7 @@ def small_game(values):
     return GameSpec(n=2, mu=mu)
 
 
-def test_noise_tag_parsing():
+def test_noise_model_parsing():
     game = small_game([0.3, 0.5, 0.7])
     assert RewardOracle(game, 0).radius is None
     assert RewardOracle(game, 0, "bernoulli").radius is None
