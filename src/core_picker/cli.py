@@ -6,9 +6,9 @@ sample-complexity figure), ``cw`` measures the width constant of
 cyclic-permutation vertex simplices over random strictly convex games.
 
 All outputs are CSV with fixed headers; rows are computed in parallel worker
-processes (capped by the CORE_PICKER_THREADS environment variable) and sorted
-before writing, so outputs are byte-identical for a fixed seed regardless of
-worker count.
+processes and sorted before writing, so outputs are byte-identical for a fixed
+seed regardless of worker count.  A call starts at most min(requested, CPU
+count, jobs) workers, where CORE_PICKER_THREADS sets the request (default 8).
 """
 
 from __future__ import annotations
@@ -81,21 +81,21 @@ def _cw_worker(args):
     game_stream, _ = trial_streams(seed, n, trial)
     increments = marginal_increments(n, game_stream, coeff=0.9)
     margin = float(np.min(np.diff(increments)))
-    vertices = [increments[(np.arange(n) + k) % n] for k in range(n)]
+    vertices = increments[(np.arange(n)[:, None] + np.arange(n)) % n]  # row k: rotation by k
     width = simplex_width(vertices)
     return (n, trial, width, n * margin / width)
 
 
 def _worker_count() -> int:
-    cap = os.environ.get("CORE_PICKER_THREADS")
-    if cap is not None:
-        return max(1, int(cap))
-    return min(os.cpu_count() or 1, 8)
+    """Pool size: CORE_PICKER_THREADS (default 8), at most the CPU count."""
+    requested = max(1, int(os.environ.get("CORE_PICKER_THREADS", 8)))
+    return min(requested, os.cpu_count() or 1)
 
 
 def _parallel_map(fn, jobs):
-    workers = _worker_count()
-    if workers == 1 or len(jobs) <= 1:
+    # a fork pool starts all its workers at the first submit, so size it to the jobs
+    workers = min(_worker_count(), len(jobs))
+    if workers <= 1:
         return [fn(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))

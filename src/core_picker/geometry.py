@@ -18,6 +18,7 @@ import numpy as np
 RANK_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 UNIT_TOL = 1e-12
+_BLOCK_DOUBLES = 1 << 20  # coordinate data simplex_width holds at once (8 MiB)
 
 
 class DegenerateSimplexError(ValueError):
@@ -62,28 +63,29 @@ class ConfidenceBox:
         return 2.0 * self.radius * np.sqrt(len(self.center))
 
 
-def coordinate_matrix(points, i: int) -> np.ndarray:
-    """Differences (x^j - x^i) as columns, j in original order with i omitted."""
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if not 0 <= i < n:
-        raise ValueError(f"reference index {i} out of range for {n} points")
-    cols = [pts[j] - pts[i] for j in range(n) if j != i]
-    return np.stack(cols, axis=1)
-
-
 def simplex_width(points) -> float:
-    """min over reference vertices of the smallest relevant singular value.
+    """min over reference vertices i of the smallest singular value of the
+    coordinate matrix whose columns are x^j - x^i, j ascending with i left out.
 
-    Zero exactly when the points are affinely degenerate; invariant under
-    translation and under permuting the points.
+    For n <= m + 1 points in R^m, zero exactly when they are affinely
+    degenerate; invariant under translation and under permuting the points.
+    One stacked SVD per block of at most _BLOCK_DOUBLES doubles (or one
+    matrix, if larger); blocking changes no matrix's bytes, so not the width.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
-    return min(
-        float(np.linalg.svd(coordinate_matrix(pts, i), compute_uv=False)[-1])
-        for i in range(n)
-    )
+    if pts.ndim != 2 or n < 2:
+        raise ValueError(f"simplex width needs at least two points, got shape {pts.shape}")
+    step = max(1, _BLOCK_DOUBLES // max(1, pts.shape[1] * (n - 1)))
+    cols = np.arange(n - 1)
+    width = np.inf
+    for refs in np.split(np.arange(n), range(step, n, step)):
+        diffs = pts[cols + (cols >= refs[:, None])]  # row r: every point but refs[r]
+        diffs -= pts[refs, None, :]
+        sigma = np.linalg.svd(diffs.swapaxes(1, 2), compute_uv=False)
+        del diffs  # free this block before the next one is gathered
+        width = min(width, float(sigma[:, -1].min()))
+    return width
 
 
 def separating_normals(points):
@@ -172,10 +174,10 @@ def in_simplex(x, vertices, slack: float = MEMBERSHIP_TOL) -> bool:
     at least -slack.  Points off the affine hull of the vertices are outside.
     Raises DegenerateSimplexError when the weight system [V^T; 1] has a
     singular value at most RANK_TOL, as computed by its least-squares solve.
-    The smallest one is at most ``simplex_width``: for a coordinate matrix D
-    and any unit vector u, weighting the reference vertex -sum(u) and the
-    others u gives w with ||w|| >= 1 and ||[V^T; 1] w|| = ||D u||.  So every
-    vertex set that fails the width test is rejected too.
+    The smallest one is at most ``simplex_width``: for any of its coordinate
+    matrices D and any unit vector u, weighting the reference vertex -sum(u)
+    and the others u gives w with ||w|| >= 1 and ||[V^T; 1] w|| = ||D u||.
+    So every vertex set that fails the width test is rejected too.
     """
     verts = np.asarray(vertices, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)

@@ -15,6 +15,16 @@ from core_picker.geometry import (
 )
 
 
+def coordinate_matrix(points, i: int) -> np.ndarray:
+    """Differences (x^j - x^i) as columns, j in original order with i omitted."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if not 0 <= i < n:
+        raise ValueError(f"reference index {i} out of range for {n} points")
+    cols = [pts[j] - pts[i] for j in range(n) if j != i]
+    return np.stack(cols, axis=1)
+
+
 def simplex_altitudes(points) -> np.ndarray:
     """Distance from each vertex to the affine hull of the other vertices."""
     pts = np.asarray(points, dtype=np.float64)

@@ -76,6 +76,39 @@ def test_sweep_parallel_and_serial_agree(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch):
+    monkeypatch.delenv("CORE_PICKER_THREADS", raising=False)
+    for cpus, expected in ((2, 2), (16, 8), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli._worker_count() == expected
+    for requested, cpus, expected in (("5000", 2, 2), ("3", 16, 3), ("0", 4, 1)):
+        monkeypatch.setenv("CORE_PICKER_THREADS", requested)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli._worker_count() == expected
+
+    started = []
+
+    class FakePool:  # records the pool size and maps in process; no worker starts
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setenv("CORE_PICKER_THREADS", "6")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for jobs in (2, 10, 1, 0):
+        assert cli._parallel_map(abs, list(range(-jobs, 0))) == list(range(jobs, 0, -1))
+    assert started == [2, 6]
+
+
 def test_cw_output_columns_and_positive_width(tmp_path):
     out = tmp_path / "cw.csv"
     assert main(["cw", "--n", "10", "--trials", "5", "--seed", "0",

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    coordinate_matrix,
     cyclic_center_config,
     hyperplane_misses_some_box,
     meets_clearance_condition,
@@ -12,6 +15,7 @@ from support import (
     sum_zero,
 )
 
+from core_picker import geometry
 from core_picker.games import (
     Permutation,
     adjacent_permutations,
@@ -26,7 +30,6 @@ from core_picker.geometry import (
     DegenerateSimplexError,
     Hyperplane,
     box_hyperplane_clearance,
-    coordinate_matrix,
     fit_separating_hyperplane,
     in_simplex,
     mean_point,
@@ -78,6 +81,65 @@ def test_simplex_width_adjacent_permutahedron_at_most_three_over_n():
 def test_simplex_width_zero_for_coincident_points():
     pts = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
     assert simplex_width(pts) == 0.0
+
+
+def per_reference_width(pts):
+    """The width from one SVD per coordinate matrix, the reference definition."""
+    return min(float(np.linalg.svd(coordinate_matrix(pts, i), compute_uv=False)[-1])
+               for i in range(len(pts)))
+
+
+def width_cases():
+    rng = np.random.default_rng(20240211)
+    cases = [rng.normal(size=(2, 2)), rng.normal(size=(2, 5)), np.ones((2, 3))]
+    for k in range(30):
+        n = int(rng.integers(2, 13))
+        m = n if k % 3 else int(rng.integers(1, 16))
+        pts = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+        if k % 5 == 0:
+            pts[-1] = pts[0]  # coincident points
+        cases.append(pts)
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 2 * 6 * 7])
+def test_simplex_width_bit_identical_to_per_reference_svds(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
+        svd, stacks = np.linalg.svd, []
+
+        def counting_svd(a, **kwargs):
+            stacks.append(len(a))
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        simplex_width(np.random.default_rng(0).normal(size=(7, 7)))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert stacks == [2, 2, 2, 1]  # n = 7 square: at most two 7x6 matrices a block
+    for pts in width_cases():
+        expected = per_reference_width(pts)
+        assert simplex_width(pts) == expected
+        if np.array_equal(pts[-1], pts[0]) and pts.shape[1] >= len(pts) - 1:
+            assert expected == 0.0
+
+
+def test_simplex_width_holds_one_block_at_a_time(monkeypatch):
+    block = 1 << 15  # nine 60x59 matrices; the whole stack is 6.5 blocks
+    monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
+    pts = np.random.default_rng(1).normal(size=(60, 60))
+    tracemalloc.start()
+    try:
+        simplex_width(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * block  # one block plus numpy's 64 KiB ufunc buffer
+
+
+def test_simplex_width_needs_two_points():
+    for pts in (np.empty((0, 3)), np.ones((1, 3)), []):
+        with pytest.raises(ValueError, match="at least two points"):
+            simplex_width(pts)
 
 
 def test_simplex_width_permutation_invariant():
