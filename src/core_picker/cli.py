@@ -32,6 +32,8 @@ from .learner import DEFAULT_MAX_EPOCHS, LearnerConfig, common_points_picking
 from .oracle import RewardOracle
 from .verify import core_membership
 
+MAX_CW_PLAYERS = 200  # a trial's cost grows as n^4; this keeps a 500-trial call to minutes
+
 GENERATORS = {
     "strict": gen_strictly_convex,
     "convex": gen_convex_boundary,
@@ -184,7 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(fn=cmd_sweep)
 
     cw = sub.add_parser("cw", help="width constant of cyclic-vertex simplices")
-    cw.add_argument("--n", type=int, nargs="+", default=[10, 50])
+    cw.add_argument("--n", type=int, nargs="+", default=[10, 50],
+                    help=f"player counts, each in 2..{MAX_CW_PLAYERS}; a trial runs n SVDs "
+                         "of an n x (n-1) matrix, so its cost grows as n^4")
     cw.add_argument("--trials", type=int, default=500)
     cw.add_argument("--seed", type=int, default=0)
     cw.add_argument("--out", default=None)
@@ -194,14 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _validate(parser, args) -> None:
     """Range checks owned by the CLI; the domain types check everything else."""
+    if args.seed < 0:  # numpy's SeedSequence would reject it without naming the option
+        parser.error("--seed must be nonnegative")
     if args.command == "sweep":
         if not 2 <= args.n_min <= args.n_max <= 10:
             parser.error("need 2 <= n-min <= n-max <= 10")
         if args.trials < 1:
             parser.error("--trials must be positive")
     elif args.command == "cw":
-        if any(not 2 <= n <= 1000 for n in args.n):
-            parser.error("--n entries must be in 2..1000")
+        if any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
+            parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
         if args.trials < 1:
             parser.error("--trials must be positive")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PLAYERS = 20  # 2**20 table entries keeps exhaustive scans at desk scale
+_GATHER_BLOCK = 1 << 16  # masks per table-gather block: a 512 KiB intp index
 
 Coalition = int
 
@@ -44,12 +45,17 @@ def _check_player_count(n: int) -> None:
 
 
 def coalition_sizes(n: int) -> np.ndarray:
-    """Popcount of every mask 0..2**n-1, built by doubling; checks n first
-    so that generators reject a player count before allocating its table."""
+    """Popcount of every mask 0..2**n-1 as ``uint8`` (1 MiB at n = 20).
+
+    Filled in place by doubling: the masks with bit p set are those below
+    2**p plus one.  Checks n first so that generators reject a player count
+    before allocating its table.
+    """
     _check_player_count(n)
-    sizes = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        sizes = np.concatenate([sizes, sizes + 1])
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for p in range(n):
+        h = 1 << p
+        np.add(sizes[:h], 1, out=sizes[h:2 * h])
     return sizes
 
 
@@ -126,6 +132,11 @@ def cyclic_permutations(n: int) -> list[Permutation]:
     return [Permutation(tuple((p + k) % n for p in range(n))) for k in range(n)]
 
 
+def _frozen(mu: np.ndarray) -> np.ndarray:
+    mu.flags.writeable = False
+    return mu
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A stochastic cooperative game given by its expected-reward table.
@@ -133,6 +144,11 @@ class GameSpec:
     ``mu[mask]`` is the expected reward of the coalition with that bit-mask.
     The empty coalition has reward exactly 0 and all values lie in [0, 1].
     The reward distribution around these means belongs to the bandit oracle.
+
+    The table is the one 2^n array a trial holds (8 MiB at n = 20).  A
+    read-only float64 array that owns its data is adopted as it is, which is
+    how the generators and :func:`load_game` hand over their fresh table;
+    anything else (a writeable array, a view, a list) is copied and frozen.
     """
 
     n: int
@@ -140,14 +156,16 @@ class GameSpec:
 
     def __post_init__(self):
         _check_player_count(self.n)
-        mu = np.array(self.mu, dtype=np.float64)  # own copy, frozen below
+        mu = self.mu
+        if not (isinstance(mu, np.ndarray) and mu.dtype == np.float64
+                and mu.flags.owndata and not mu.flags.writeable):
+            mu = _frozen(np.array(mu, dtype=np.float64))
         if mu.shape != (1 << self.n,):
             raise ValueError(f"reward table must have {1 << self.n} entries")
         if mu[0] != 0.0:
             raise ValueError("empty coalition must have reward 0")
-        if not np.all((mu >= 0.0) & (mu <= 1.0)):  # also rejects nan
+        if not (mu.min() >= 0.0 and mu.max() <= 1.0):  # nan fails both
             raise ValueError("rewards must lie in [0, 1]")
-        mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
 
     @property
@@ -220,12 +238,23 @@ def marginal_increments(n: int, seed, coeff: float = 0.9) -> np.ndarray:
     return raw / raw.sum()
 
 
+def _symmetric_game(sizes: np.ndarray, values: np.ndarray) -> GameSpec:
+    """The game whose coalitions of size k, counted by ``sizes`` (see
+    :func:`coalition_sizes`), all have reward ``values[k]``.  Gathered in
+    blocks, because indexing with all of ``sizes`` at once would first cast
+    it to an 8 MiB intp copy."""
+    mu = np.empty(sizes.size)
+    for start in range(0, sizes.size, _GATHER_BLOCK):
+        stop = start + _GATHER_BLOCK
+        np.take(values, sizes[start:stop], out=mu[start:stop])
+    return GameSpec(n=len(values) - 1, mu=_frozen(mu))
+
+
 def _table_from_increments(increments: np.ndarray) -> GameSpec:
-    n = len(increments)
+    sizes = coalition_sizes(len(increments))
     values = np.concatenate([[0.0], np.cumsum(increments)])
-    values[n] = 1.0  # guard cumsum rounding at the grand coalition
-    mu = values[coalition_sizes(n)]
-    return GameSpec(n=n, mu=mu)
+    values[-1] = 1.0  # guard cumsum rounding at the grand coalition
+    return _symmetric_game(sizes, values)
 
 
 def gen_strictly_convex(n: int, seed) -> GameSpec:
@@ -240,7 +269,7 @@ def gen_convex_boundary(n: int, seed) -> GameSpec:
 
 def gen_unit_game(n: int) -> GameSpec:
     """mu(S) = |S| / n: convex but not strictly, one-point core at (1/n) 1."""
-    return GameSpec(n=n, mu=coalition_sizes(n) / n)
+    return GameSpec(n=n, mu=_frozen(coalition_sizes(n) / n))
 
 
 def gen_permutahedron(n: int) -> GameSpec:
@@ -250,8 +279,9 @@ def gen_permutahedron(n: int) -> GameSpec:
     standard permutahedron scaled by 1 / g(n).
     """
     sizes = coalition_sizes(n)
-    g = sizes * (sizes + 1) / 2.0
-    return GameSpec(n=n, mu=g / g[-1])
+    k = np.arange(n + 1)  # int64: k (k + 1) overflows the uint8 sizes from n = 16
+    g = k * (k + 1) / 2.0
+    return _symmetric_game(sizes, g / g[-1])
 
 
 def save_game(game: GameSpec, path) -> None:
@@ -288,7 +318,7 @@ def load_game(path) -> GameSpec:
             mu[mask] = float(value_s)
     if not seen.all():
         raise ValueError(f"mask {int(np.argmin(seen))} is missing")
-    return GameSpec(n=n, mu=mu)
+    return GameSpec(n=n, mu=_frozen(mu))
 
 
 def all_permutations(n: int):

@@ -75,10 +75,6 @@ class RewardOracle:
         return total
 
     @property
-    def sample_count(self) -> int:
-        return self.total_queries
-
-    @property
     def state(self):
         """The bit-generator state and the sample count.
 

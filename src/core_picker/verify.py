@@ -15,13 +15,18 @@ from .games import GameSpec, all_permutations, marginal_vector
 
 VERTEX_DEDUP_TOL = 1e-10
 MAX_ENUM_PLAYERS = 8  # n! enumeration cap
+_SCAN_BITS = 16  # 2^16 coalitions per membership block: 512 KiB of doubles
 
 
 def allocation_sums(x, n: int) -> np.ndarray:
-    """x(S) for every coalition mask, built by doubling over players."""
-    sums = np.zeros(1)
+    """x(S) for every coalition mask of players 0..n-1, built by doubling in
+    place: the sums of the masks holding player p are those below 2**p plus
+    x[p], so each x(S) adds its players' shares in ascending order."""
+    sums = np.empty(1 << n)
+    sums[0] = 0.0
     for p in range(n):
-        sums = np.concatenate([sums, sums + x[p]])
+        h = 1 << p
+        np.add(sums[:h], x[p], out=sums[h:2 * h])
     return sums
 
 
@@ -37,17 +42,43 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     """Exhaustive stability check of an allocation against every coalition.
 
     max_violation is the largest mu(S) - x(S) over proper nonempty S (positive
-    means some coalition prefers to deviate); the efficiency gap is
-    |x(N) - mu(N)|.  Membership requires both within tol.
+    means some coalition prefers to deviate), worst_coalition the first mask
+    reaching it; the efficiency gap is |x(N) - mu(N)|.  Membership requires
+    both within tol.
+
+    The scan holds no 2^n array besides the game's own table.  It runs over
+    blocks of 2^16 masks that share their high bits: a block starts from the
+    sums of the low players and adds each high player present in ascending
+    order, which is the order of :func:`allocation_sums`, so every x(S) and
+    the report are bit-identical to subtracting one full table of sums.
     """
     x = np.asarray(x, dtype=np.float64)
-    sums = allocation_sums(x, game.n)
-    slack = game.mu - sums
-    slack[0] = -np.inf
-    slack[-1] = -np.inf  # the grand coalition is judged by the efficiency gap
-    worst = int(np.argmax(slack))
-    max_violation = float(slack[worst])
-    efficiency_gap = abs(float(sums[-1]) - game.mu_grand)
+    n, mu = game.n, game.mu
+    low = min(n, _SCAN_BITS)
+    low_sums = allocation_sums(x, low)
+    size = low_sums.size
+    blocks = 1 << (n - low)
+    slack = np.empty(size)
+    peaks = np.empty(blocks)
+    firsts = np.empty(blocks, dtype=np.int64)
+    for b in range(blocks):
+        np.copyto(slack, low_sums)
+        for p in range(low, n):
+            if b >> (p - low) & 1:
+                slack += x[p]
+        if b == blocks - 1:
+            grand_sum = float(slack[-1])  # x(N), before the block turns into slack
+        np.subtract(mu[b * size:(b + 1) * size], slack, out=slack)
+        if b == 0:
+            slack[0] = -np.inf
+        if b == blocks - 1:
+            slack[-1] = -np.inf  # the grand coalition is judged by the efficiency gap
+        firsts[b] = np.argmax(slack)
+        peaks[b] = slack[firsts[b]]
+    best = int(np.argmax(peaks))  # first block holding the maximum, as one argmax would
+    worst = best * size + int(firsts[best])
+    max_violation = float(peaks[best])
+    efficiency_gap = abs(grand_sum - game.mu_grand)
     return MembershipReport(
         is_member=(max_violation <= tol and efficiency_gap <= tol),
         max_violation=max_violation,

@@ -133,11 +133,18 @@ def test_usage_errors_exit_two(capsys):
         ["learn", "--n", "3", "--noise", "uniform:nan"],
         ["learn", "--n", "3", "--noise", "uniform:inf"],
         ["sweep", "--n-max", "2", "--trials", "1", "--max-epochs", "0"],
+        ["cw", "--n", "201"],
+        ["learn", "--n", "3", "--seed", "-1"],
+        ["sweep", "--n-max", "2", "--trials", "1", "--seed", "-1"],
+        ["cw", "--n", "10", "--trials", "1", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err
+        if "--seed" in argv:
+            assert "error: --seed must be nonnegative" in err
 
 
 def test_bad_learner_settings_fail_before_any_worker_starts(monkeypatch):

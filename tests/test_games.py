@@ -66,6 +66,41 @@ def test_gamespec_validation():
         GameSpec(n=2, mu=np.zeros(5))  # wrong table length
 
 
+def test_gamespec_copies_writeable_input_and_adopts_frozen_tables(tmp_path):
+    values = np.array([0.0, 0.2, 0.3, 1.0])
+    game = GameSpec(n=2, mu=values)
+    values[1] = 0.9  # the caller's array is not the game's
+    assert game.mu[1] == 0.2 and game.mu is not values
+    assert not game.mu.flags.writeable and game.mu.flags.owndata
+    frozen = np.array([0.0, 0.2, 0.3, 1.0])
+    frozen.flags.writeable = False
+    assert GameSpec(n=2, mu=frozen).mu is frozen
+    view = np.array([0.0, 0.2, 0.3, 1.0, 0.5])[:4]
+    view.flags.writeable = False  # read-only, but its base is writeable
+    assert GameSpec(n=2, mu=view).mu is not view
+    single = np.array([0.0, 0.25, 0.5, 1.0], dtype=np.float32)
+    single.flags.writeable = False
+    assert GameSpec(n=2, mu=single).mu.dtype == np.float64
+    assert GameSpec(n=2, mu=[0.0, 0.2, 0.3, 1.0]).mu.tolist() == [0.0, 0.2, 0.3, 1.0]
+    path = tmp_path / "g.txt"
+    save_game(gen_strictly_convex(4, 11), path)
+    for generated in (gen_strictly_convex(4, 0), gen_convex_boundary(4, 0), gen_unit_game(4),
+                      gen_permutahedron(4), load_game(path)):
+        assert GameSpec(n=4, mu=generated.mu).mu is generated.mu  # handed over frozen
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 20])
+def test_generators_match_int64_popcount_formulas(n):
+    # sizes * (sizes + 1) overflows uint8 from n = 16, so the reference casts first
+    sizes = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    g = sizes * (sizes + 1) / 2.0
+    assert np.array_equal(gen_permutahedron(n).mu, g / g[-1])
+    assert np.array_equal(gen_unit_game(n).mu, sizes / n)
+    values = np.concatenate([[0.0], np.cumsum(marginal_increments(n, 3))])
+    values[-1] = 1.0
+    assert np.array_equal(gen_strictly_convex(n, 3).mu, values[sizes])
+
+
 @pytest.mark.parametrize("generate", [
     lambda n: gen_strictly_convex(n, 0),
     lambda n: gen_convex_boundary(n, 0),

@@ -124,9 +124,9 @@ def test_epoch_query_budget():
     oracle = RewardOracle(game, seed=1)
     perms = resolve_permutations("adjacent", 4)
     totals = advance(oracle, perms, 1)
-    assert oracle.sample_count == 16
+    assert oracle.total_queries == 16
     advance(oracle, perms, 9, totals)
-    assert oracle.sample_count == 160
+    assert oracle.total_queries == 160
 
 
 def test_estimates_are_projected_running_means():
@@ -237,7 +237,7 @@ def test_noise_free_permutahedron_run_returns_vertex_average():
     assert check.max_violation <= 0.0
     assert check.efficiency_gap <= 1e-10
     assert report.samples == report.epochs * 9
-    assert oracle.sample_count == report.samples
+    assert oracle.total_queries == report.samples
 
 
 def test_unit_game_never_stops():
@@ -357,7 +357,7 @@ def assert_matches_reference(game, seed, config, noise="bernoulli"):
     estimates, epoch, bonus, stopped = one_check_per_epoch(reference, config)
     report = common_points_picking(oracle, config)
     assert (report.epochs, report.stopped_naturally, report.bonus) == (epoch, stopped, bonus)
-    assert report.samples == epoch * game.n**2 == oracle.sample_count == reference.sample_count
+    assert report.samples == epoch * game.n**2 == oracle.total_queries == reference.total_queries
     assert report.allocation.tobytes() == mean_point(estimates).tobytes()
     assert oracle.rng.bit_generator.state == reference.rng.bit_generator.state
 
@@ -426,7 +426,7 @@ def test_learner_sees_only_the_bandit(game, cap):
     report = common_points_picking(BanditView(oracle), config)
     assert (report.epochs, report.stopped_naturally) == (direct.epochs, direct.stopped_naturally)
     assert report.allocation.tobytes() == direct.allocation.tobytes()
-    assert oracle.sample_count == report.samples
+    assert oracle.total_queries == report.samples
     assert report.stopped_naturally == (cap > 5_000)
 
 

@@ -27,16 +27,16 @@ def test_empty_coalition_is_free():
     oracle = RewardOracle(gen_strictly_convex(3, 0), seed=0)
     assert oracle.query(0) == 0.0
     assert oracle.query_sum(0, 1000) == 0.0
-    assert oracle.sample_count == 0
+    assert oracle.total_queries == 0
 
 
 def test_counter_increments_per_query():
     oracle = RewardOracle(gen_strictly_convex(3, 0), seed=0)
     oracle.query(1)
     oracle.query(3)
-    assert oracle.sample_count == 2
+    assert oracle.total_queries == 2
     oracle.query_sum(7, 10)
-    assert oracle.sample_count == 12
+    assert oracle.total_queries == 12
 
 
 def test_determinism_same_seed_same_rewards():
@@ -53,11 +53,11 @@ def test_assigning_a_saved_state_rewinds_draws_and_count(noise):
     oracle.query_sum(1, 5)
     saved = oracle.state
     first = [oracle.query_sum(S, k) for S, k in ((1, 7), (3, 1000), (2, 1))]
-    count = oracle.sample_count
+    count = oracle.total_queries
     oracle.state = saved
-    assert oracle.sample_count == 5
+    assert oracle.total_queries == 5
     assert [oracle.query_sum(S, k) for S, k in ((1, 7), (3, 1000), (2, 1))] == first
-    assert oracle.sample_count == count
+    assert oracle.total_queries == count
 
 
 def test_bernoulli_degenerate_mean_one():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from core_picker.games import (
     gen_unit_game,
     marginal_vector,
 )
+from core_picker import verify
 from core_picker.geometry import in_simplex
 from core_picker.verify import (
     allocation_sums,
@@ -25,6 +28,53 @@ def test_allocation_sums_doubling():
     assert sums[0b000] == 0.0
     assert sums[0b101] == pytest.approx(0.375, abs=1e-15)
     assert sums[0b111] == pytest.approx(0.875, abs=1e-15)
+
+
+def full_table_report(game, x):
+    """The unblocked scan: one table of sums from the doubling, then mu - sums."""
+    sums = allocation_sums(x, game.n)
+    slack = game.mu - sums
+    slack[0] = slack[-1] = -np.inf
+    worst = int(np.argmax(slack))
+    return float(slack[worst]), worst, abs(float(sums[-1]) - game.mu_grand)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_blocked_scan_equals_full_table_scan(monkeypatch, n):
+    # n >= 5 spans several blocks: 2 at n = 5, up to 32 from n = 9 on
+    monkeypatch.setattr(verify, "_SCAN_BITS", max(4, n - 5))
+    rng = np.random.default_rng(n)
+    game = gen_strictly_convex(n, n)
+    centre = np.full(n, 1.0 / n)
+    spread = rng.random(n)
+    nan_high = centre.copy()
+    nan_high[-1] = np.nan  # the first nan slack sits past the first block
+    cases = [(game, x) for x in (centre, marginal_vector(game, cyclic_permutations(n)[n // 2]),
+                                 spread / spread.sum(), rng.random(n), nan_high)]
+    cases.append((gen_unit_game(n), centre))  # ties: slack 0 up to rounding almost everywhere
+    for g, x in cases:
+        report = core_membership(g, x)
+        got = (report.max_violation, report.worst_coalition, report.efficiency_gap)
+        if np.isnan(x).any():  # nan != nan, so compare the floats by their exact repr
+            assert repr(got) == repr(full_table_report(g, x))
+        else:
+            assert got == full_table_report(g, x)
+
+
+def test_generation_and_scan_hold_one_table_at_n20():
+    table = 8 << 20  # bytes of one 2^20-entry float64 table
+    tracemalloc.start()
+    try:
+        game = gen_strictly_convex(20, 5)
+        generated_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        core_membership(game, marginal_vector(game, cyclic_permutations(20)[3]))
+        scan_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert generated_peak < 1.5 * table  # the table plus a uint8 size table and one block
+    assert scan_peak < 0.5 * table  # no 2^n array besides the game's own
 
 
 def test_unit_game_center_is_member():
