@@ -50,10 +50,10 @@ def trial_streams(seed: int, n: int, trial: int):
 
 def run_single(n, gen, perm_choice, delta, seed, noise, max_epochs, trial=0):
     """One full pipeline run: generate, learn, verify.  Returns a result dict."""
+    config = LearnerConfig(delta=delta, perm_choice=perm_choice, max_epochs=max_epochs)
     game_stream, oracle_stream = trial_streams(seed, n, trial)
     game = GENERATORS[gen](n, game_stream)
     oracle = RewardOracle(game, oracle_stream, noise)
-    config = LearnerConfig(delta=delta, perm_choice=perm_choice, max_epochs=max_epochs)
     report = common_points_picking(oracle, config)
     check = core_membership(game, report.allocation, tol=MEMBERSHIP_TOL)
     return {
@@ -167,8 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--delta", type=float, default=0.1)
     learn.add_argument("--seed", type=int, default=0)
     learn.add_argument("--noise", default="bernoulli",
-                       help="bernoulli or uniform:<radius>; the generated games "
-                            "have mu(N) = 1, so they accept only uniform:0")
+                       help="reward model: bernoulli, or none for rewards equal "
+                            "to their means")
     learn.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
     learn.add_argument("--out", default=None, help="CSV path (default stdout)")
     learn.set_defaults(fn=cmd_learn)

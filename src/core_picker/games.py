@@ -19,26 +19,6 @@ _GATHER_BLOCK = 1 << 16  # masks per table-gather block: a 512 KiB intp index
 Coalition = int
 
 
-def coalition_of(members) -> Coalition:
-    """Bit-mask of the given player indices."""
-    mask = 0
-    for p in members:
-        mask |= 1 << p
-    return mask
-
-
-def members_of(mask: Coalition) -> tuple[int, ...]:
-    """Sorted player indices in a coalition mask."""
-    out = []
-    p = 0
-    while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
-    return tuple(out)
-
-
 def _check_player_count(n: int) -> None:
     if not 2 <= n <= MAX_PLAYERS:
         raise ValueError(f"player count {n} outside 2..{MAX_PLAYERS}")
@@ -169,19 +149,8 @@ class GameSpec:
         object.__setattr__(self, "mu", mu)
 
     @property
-    def grand_coalition(self) -> Coalition:
-        return (1 << self.n) - 1
-
-    @property
     def mu_grand(self) -> float:
         return float(self.mu[-1])
-
-
-def expected_reward(game: GameSpec, S: Coalition) -> float:
-    """Table lookup mu(S); the empty coalition yields 0."""
-    if not 0 <= S <= game.grand_coalition:
-        raise ValueError(f"coalition {S:#x} out of range for n={game.n}")
-    return float(game.mu[S])
 
 
 def marginal_vector(game: GameSpec, w: Permutation) -> np.ndarray:
@@ -296,8 +265,9 @@ def load_game(path) -> GameSpec:
     """Read a game written by :func:`save_game`; round-trips exactly.
 
     The header's other fields, such as the ``noise=`` tag of older files, are
-    ignored.  Raises ValueError when the header has no ``n=``, and naming the
-    mask when one is out of range, repeated or missing.
+    ignored.  Raises ValueError when the header has no ``n=``, naming the line
+    of an entry that is not two fields, and naming the mask when one is out
+    of range, repeated or missing.
     """
     with open(path) as fh:
         counts = [part[2:] for part in fh.readline().split() if part.startswith("n=")]
@@ -307,15 +277,17 @@ def load_game(path) -> GameSpec:
         _check_player_count(n)
         mu = np.zeros(1 << n)
         seen = np.zeros(1 << n, dtype=bool)
-        for line in fh:
-            mask_s, value_s = line.split()
-            mask = int(mask_s)
+        for k, line in enumerate(fh, start=2):
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"line {k}: expected '<mask> <value>'")
+            mask = int(fields[0])
             if not 0 <= mask < seen.size:
                 raise ValueError(f"mask {mask} out of range for n={n}")
             if seen[mask]:
                 raise ValueError(f"mask {mask} appears twice")
             seen[mask] = True
-            mu[mask] = float(value_s)
+            mu[mask] = float(fields[1])
     if not seen.all():
         raise ValueError(f"mask {int(np.argmin(seen))} is missing")
     return GameSpec(n=n, mu=_frozen(mu))

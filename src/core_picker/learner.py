@@ -56,32 +56,25 @@ def confidence_bonus(ep: int, n: int, delta: float) -> float:
     return math.sqrt(2.0 * math.log(n * ep / delta) / ep)
 
 
-def resolve_permutations(choice, n: int) -> list[Permutation]:
-    """Expand a permutation choice into n distinct arrival orders.
+def resolve_permutations(choice: str, n: int) -> list[Permutation]:
+    """The n arrival orders of a permutation choice.
 
     "adjacent" is the identity plus its n-1 adjacent-transposition
-    neighbours; "cyclic" the n rotations; anything else must be an explicit
-    sequence of n distinct Permutations.
+    neighbours; "cyclic" the n rotations.
     """
     if choice == "adjacent":
-        perms = adjacent_permutations(Permutation.identity(n))
-    elif choice == "cyclic":
-        perms = cyclic_permutations(n)
-    else:
-        perms = list(choice)
-    if len(perms) != n:
-        raise ValueError(f"need exactly {n} permutations, got {len(perms)}")
-    if len({p.ranks for p in perms}) != n:
-        raise ValueError("permutations must be distinct")
-    for p in perms:
-        if p.n != n:
-            raise ValueError("permutation size does not match the game")
-    return perms
+        return adjacent_permutations(Permutation.identity(n))
+    if choice == "cyclic":
+        return cyclic_permutations(n)
+    raise ValueError(f"unknown permutation choice {choice!r}; use adjacent or cyclic")
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     """Settings of one run.
+
+    ``perm_choice`` is "adjacent" or "cyclic" (:func:`resolve_permutations`);
+    ``max_epochs`` is at most 2**63 - 1, numpy's largest binomial count.
 
     With ``project_to_hn`` each estimate is shifted onto the efficiency plane
     of the true mu(N): projection treats mu(N) as known and reads it from the
@@ -90,15 +83,15 @@ class LearnerConfig:
     """
 
     delta: float
-    perm_choice: object = "adjacent"  # "adjacent" | "cyclic" | sequence of Permutation
+    perm_choice: str = "adjacent"
     max_epochs: int = DEFAULT_MAX_EPOCHS
     project_to_hn: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
+        if not 1 <= self.max_epochs <= 2**63 - 1:
+            raise ValueError("max_epochs must lie in 1..2**63 - 1")
 
 
 def run_epochs(totals: np.ndarray, oracle: RewardOracle, chains, k: int) -> None:

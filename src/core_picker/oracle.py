@@ -13,39 +13,23 @@ learner computes from the sums is identical to drawing rewards one by one.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .games import Coalition, GameSpec
-
-_UNIFORM_CHUNK = 1 << 20  # bound memory when materializing uniform draws
 
 
 class RewardOracle:
     """Stateful sampler answering coalition queries for one learner run.
 
     ``noise`` is the reward model: "bernoulli" draws Bernoulli(mu(S)), and
-    "uniform:<r>" draws mu(S) + Unif[-r, r] for a finite r >= 0 whose support
-    fits in [0, 1] for every nonempty coalition.
+    "none" returns mu(S) itself, so k draws sum to k mu(S) exactly.
     """
 
     def __init__(self, game: GameSpec, seed, noise: str = "bernoulli"):
+        if noise not in ("bernoulli", "none"):
+            raise ValueError(f"unknown noise tag {noise!r}; use bernoulli or none")
         self.game = game
-        self.radius = None  # None means Bernoulli rewards
-        if noise.startswith("uniform:"):
-            a = float(noise[len("uniform:"):])
-            if not (a >= 0.0 and math.isfinite(a)):
-                raise ValueError(f"uniform radius in {noise!r} must be finite and nonnegative")
-            mu = game.mu[1:]  # the empty coalition is never sampled
-            if np.any(mu - a < 0.0) or np.any(mu + a > 1.0):
-                raise ValueError(
-                    "uniform noise radius pushes some reward outside [0, 1]; "
-                    "no clipping is applied so the support must fit"
-                )
-            self.radius = a
-        elif noise != "bernoulli":
-            raise ValueError(f"unknown noise tag {noise!r}")
+        self._bernoulli = noise == "bernoulli"
         self.rng = np.random.default_rng(seed)
         self.total_queries = 0
 
@@ -61,18 +45,9 @@ class RewardOracle:
             return 0.0
         mu = float(self.game.mu[S])
         self.total_queries += k
-        a = self.radius
-        if a is None:
+        if self._bernoulli:
             return float(self.rng.binomial(k, mu))
-        if a == 0.0:
-            return k * mu
-        total = 0.0
-        left = k
-        while left > 0:
-            chunk = min(left, _UNIFORM_CHUNK)
-            total += float(self.rng.uniform(mu - a, mu + a, size=chunk).sum())
-            left -= chunk
-        return total
+        return k * mu
 
     @property
     def state(self):

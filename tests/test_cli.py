@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from core_picker.cli import main, run_single, trial_streams
 
 OUT = Path(__file__).resolve().parent.parent / "out"
 SUMMARIZE = OUT.parent / "scripts" / "summarize_sweep.py"
+README = OUT.parent / "README.md"
 
 
 def read_rows(path):
@@ -52,6 +54,15 @@ def test_learn_cyclic_choice_also_accepts(tmp_path):
     assert code == 0
     _, rows = read_rows(out)
     assert rows[0][6] == "true" and float(rows[0][7]) <= 0.0
+
+
+def test_readme_learn_examples_run():
+    lines = README.read_text().splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("core-picker learn ")]
+    assert commands
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_sweep_csv_is_deterministic(tmp_path):
@@ -129,9 +140,11 @@ def test_usage_errors_exit_two(capsys):
         ["learn", "--n", "3", "--delta", "1.5"],
         ["cw", "--n", "1"],
         ["learn", "--n", "21"],
+        ["learn", "--n", "3", "--noise", "uniform:0"],
         ["learn", "--n", "3", "--noise", "uniform:0.1"],
         ["learn", "--n", "3", "--noise", "uniform:nan"],
         ["learn", "--n", "3", "--noise", "uniform:inf"],
+        ["learn", "--n", "3", "--gen", "unit", "--max-epochs", "1000000000000000000000"],
         ["sweep", "--n-max", "2", "--trials", "1", "--max-epochs", "0"],
         ["cw", "--n", "201"],
         ["learn", "--n", "3", "--seed", "-1"],
@@ -149,7 +162,7 @@ def test_usage_errors_exit_two(capsys):
 
 def test_bad_learner_settings_fail_before_any_worker_starts(monkeypatch):
     monkeypatch.setattr(cli, "_parallel_map", lambda fn, jobs: pytest.fail("workers started"))
-    for flag, value in (("--max-epochs", "0"), ("--delta", "1.5")):
+    for flag, value in (("--max-epochs", "0"), ("--max-epochs", str(2**63)), ("--delta", "1.5")):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--n-max", "3", "--trials", "4", flag, value])
         assert exc.value.code == 2

@@ -7,9 +7,7 @@ from core_picker.games import (
     Permutation,
     adjacent_permutations,
     adjacent_transpose,
-    coalition_of,
     cyclic_permutations,
-    expected_reward,
     gen_convex_boundary,
     gen_permutahedron,
     gen_strictly_convex,
@@ -17,7 +15,6 @@ from core_picker.games import (
     load_game,
     marginal_increments,
     marginal_vector,
-    members_of,
     prefix_coalitions,
     save_game,
     strict_convexity_margin,
@@ -29,30 +26,13 @@ def permutation_strategy(n):
 
 
 # ---------------------------------------------------------------------------
-# coalitions and reward lookup
-
-
-def test_coalition_roundtrip():
-    assert coalition_of([0, 2]) == 0b101
-    assert members_of(0b1101) == (0, 2, 3)
-    assert coalition_of([]) == 0
-
-
-def test_expected_reward_lookup():
-    game = gen_unit_game(4)
-    # players "1 and 3" of the worked one-point-core example, 0-indexed {0, 2};
-    # the |S| table normalizes to |S|/n
-    assert expected_reward(game, coalition_of([0, 2])) == 0.5
-    assert expected_reward(game, 0) == 0.0
-    with pytest.raises(ValueError):
-        expected_reward(game, 1 << 4)
+# reward tables
 
 
 def test_generated_grand_coalition_is_exactly_one():
-    for seed in range(8):  # includes the worked seed-7 lookup below
+    for seed in range(8):
         assert gen_strictly_convex(3, seed).mu_grand == 1.0
         assert gen_convex_boundary(3, seed).mu_grand == 1.0
-    assert expected_reward(gen_strictly_convex(3, 7), 0b111) == 1.0
 
 
 def test_gamespec_validation():
@@ -243,7 +223,7 @@ def test_margin_permutahedron():
 
 def test_margin_detects_planted_violation():
     mu = gen_unit_game(4).mu.copy()
-    mu[coalition_of([0, 1])] -= 0.05
+    mu[0b0011] -= 0.05  # players 0 and 1
     assert strict_convexity_margin(GameSpec(n=4, mu=mu)) == pytest.approx(-0.05, abs=1e-12)
 
 
@@ -330,6 +310,8 @@ def test_save_load_simple(tmp_path):
     (lambda lines: ["players=4"] + lines[1:], "header has no n="),
     (lambda lines: [""] + lines[1:], "header has no n="),
     (lambda lines: [], "header has no n="),
+    (lambda lines: lines + [""], "line 18: expected '<mask> <value>'"),
+    (lambda lines: lines[:3] + [lines[3] + " 0.5"] + lines[4:], "line 4: expected"),
 ])
 def test_load_rejects_malformed_files(tmp_path, edit, message):
     path = tmp_path / "g.txt"

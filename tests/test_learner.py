@@ -31,7 +31,7 @@ from core_picker.verify import core_membership
 
 def noise_free(game, seed):
     """An oracle whose every reward equals its mean."""
-    return RewardOracle(game, seed, "uniform:0")
+    return RewardOracle(game, seed, "none")
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +67,19 @@ def test_config_validation():
         LearnerConfig(delta=1.0)
     with pytest.raises(ValueError):
         LearnerConfig(delta=0.1, max_epochs=0)
+    with pytest.raises(ValueError, match="max_epochs"):
+        LearnerConfig(delta=0.1, max_epochs=2**63)  # above numpy's largest binomial count
+    LearnerConfig(delta=0.1, max_epochs=2**63 - 1)
+    assert RewardOracle(gen_unit_game(3), 0).query_sum(1, 2**63 - 1) > 0  # the cap still draws
 
 
 def test_resolve_permutations_counts():
     assert len(resolve_permutations("adjacent", 5)) == 5
     assert len(resolve_permutations("cyclic", 5)) == 5
-    explicit = cyclic_permutations(3)
-    assert resolve_permutations(explicit, 3) == explicit
-    with pytest.raises(ValueError):
-        resolve_permutations(explicit[:2], 3)  # fewer than n permutations
-    with pytest.raises(ValueError):
-        resolve_permutations([explicit[0]] * 3, 3)  # duplicates
+    assert resolve_permutations("cyclic", 3) == cyclic_permutations(3)
+    for choice in ("random", "Cyclic", cyclic_permutations(3)):
+        with pytest.raises(ValueError, match="use adjacent or cyclic"):
+            resolve_permutations(choice, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +286,6 @@ def test_noisy_runs_are_sound_and_covered():
     assert sound == covered
 
 
-def test_explicit_permutation_list_runs():
-    game = gen_strictly_convex(3, 8)
-    perms = tuple(cyclic_permutations(3))
-    oracle = RewardOracle(game, seed=2)
-    report = common_points_picking(oracle, LearnerConfig(delta=0.1, perm_choice=perms))
-    assert report.stopped_naturally
-    assert core_membership(game, report.allocation).max_violation <= 0.0
-
-
 def test_two_player_game_runs():
     game = gen_strictly_convex(2, 1)
     oracle = RewardOracle(game, seed=3)
@@ -383,7 +376,7 @@ def test_unprojected_and_noise_free_runs_match_one_check_per_epoch():
     assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, project_to_hn=False,
                                                       max_epochs=10**5))
     for game in (gen_strictly_convex(4, 3), gen_permutahedron(5)):
-        assert_matches_reference(game, 2, LearnerConfig(delta=0.1), noise="uniform:0")
+        assert_matches_reference(game, 2, LearnerConfig(delta=0.1), noise="none")
 
 
 class KnownGrandValue:
