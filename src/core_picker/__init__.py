@@ -40,43 +40,3 @@ from .learner import (
 )
 from .oracle import RewardOracle
 from .verify import MembershipReport, core_membership, core_vertices, shapley_value
-
-__all__ = [
-    "GameSpec",
-    "Permutation",
-    "adjacent_permutations",
-    "adjacent_transpose",
-    "cyclic_permutations",
-    "gen_convex_boundary",
-    "gen_permutahedron",
-    "gen_strictly_convex",
-    "gen_unit_game",
-    "load_game",
-    "marginal_increments",
-    "marginal_vector",
-    "prefix_coalitions",
-    "save_game",
-    "strict_convexity_margin",
-    "ConfidenceBox",
-    "DegenerateSimplexError",
-    "Hyperplane",
-    "box_hyperplane_clearance",
-    "fit_separating_hyperplane",
-    "in_simplex",
-    "mean_point",
-    "separating_normals",
-    "simplex_width",
-    "LearnerConfig",
-    "RunReport",
-    "common_points_picking",
-    "confidence_bonus",
-    "rank_index",
-    "run_epochs",
-    "stopping_condition",
-    "vertex_estimates",
-    "RewardOracle",
-    "MembershipReport",
-    "core_membership",
-    "core_vertices",
-    "shapley_value",
-]

@@ -29,10 +29,11 @@ from .games import (
 )
 from .geometry import MEMBERSHIP_TOL, simplex_width
 from .learner import DEFAULT_MAX_EPOCHS, LearnerConfig, common_points_picking
-from .oracle import RewardOracle
+from .oracle import NOISE_MODELS, RewardOracle
 from .verify import core_membership
 
 MAX_CW_PLAYERS = 200  # a trial's cost grows as n^4; this keeps a 500-trial call to minutes
+MAX_TRIALS = 10_000   # per player count; the job list is built before any worker starts
 
 GENERATORS = {
     "strict": gen_strictly_convex,
@@ -166,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--perms", choices=["adjacent", "cyclic"], default="adjacent")
     learn.add_argument("--delta", type=float, default=0.1)
     learn.add_argument("--seed", type=int, default=0)
-    learn.add_argument("--noise", default="bernoulli",
+    learn.add_argument("--noise", choices=NOISE_MODELS, default="bernoulli",
                        help="reward model: bernoulli, or none for rewards equal "
                             "to their means")
     learn.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
@@ -176,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sample counts across player counts")
     sweep.add_argument("--n-min", type=int, default=2)
     sweep.add_argument("--n-max", type=int, default=6)
-    sweep.add_argument("--trials", type=int, default=20)
+    sweep.add_argument("--trials", type=int, default=20,
+                       help=f"trials per player count, in 1..{MAX_TRIALS}")
     sweep.add_argument("--gen", choices=["strict", "convex"], default="strict")
     sweep.add_argument("--perms", choices=["adjacent", "cyclic"], default="adjacent")
     sweep.add_argument("--delta", type=float, default=0.1)
@@ -189,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cw.add_argument("--n", type=int, nargs="+", default=[10, 50],
                     help=f"player counts, each in 2..{MAX_CW_PLAYERS}; a trial runs n SVDs "
                          "of an n x (n-1) matrix, so its cost grows as n^4")
-    cw.add_argument("--trials", type=int, default=500)
+    cw.add_argument("--trials", type=int, default=500,
+                    help=f"trials per player count, in 1..{MAX_TRIALS}")
     cw.add_argument("--seed", type=int, default=0)
     cw.add_argument("--out", default=None)
     cw.set_defaults(fn=cmd_cw)
@@ -200,16 +203,12 @@ def _validate(parser, args) -> None:
     """Range checks owned by the CLI; the domain types check everything else."""
     if args.seed < 0:  # numpy's SeedSequence would reject it without naming the option
         parser.error("--seed must be nonnegative")
-    if args.command == "sweep":
-        if not 2 <= args.n_min <= args.n_max <= 10:
-            parser.error("need 2 <= n-min <= n-max <= 10")
-        if args.trials < 1:
-            parser.error("--trials must be positive")
-    elif args.command == "cw":
-        if any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
-            parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
-        if args.trials < 1:
-            parser.error("--trials must be positive")
+    if args.command in ("sweep", "cw") and not 1 <= args.trials <= MAX_TRIALS:
+        parser.error(f"--trials must be in 1..{MAX_TRIALS}")
+    if args.command == "sweep" and not 2 <= args.n_min <= args.n_max <= 10:
+        parser.error("need 2 <= n-min <= n-max <= 10")
+    if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
+        parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
 
 
 def main(argv=None) -> int:

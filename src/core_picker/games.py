@@ -265,15 +265,18 @@ def load_game(path) -> GameSpec:
     """Read a game written by :func:`save_game`; round-trips exactly.
 
     The header's other fields, such as the ``noise=`` tag of older files, are
-    ignored.  Raises ValueError when the header has no ``n=``, naming the line
-    of an entry that is not two fields, and naming the mask when one is out
-    of range, repeated or missing.
+    ignored.  Raises ValueError when the header has no integer ``n=``, naming
+    the line of an entry that is not an integer mask and a number, and naming
+    the mask when one is out of range, repeated or missing.
     """
     with open(path) as fh:
         counts = [part[2:] for part in fh.readline().split() if part.startswith("n=")]
         if not counts:
             raise ValueError("game file header has no n=<players>")
-        n = int(counts[0])
+        try:
+            n = int(counts[0])
+        except ValueError:
+            raise ValueError(f"game file header has a bad n={counts[0]}") from None
         _check_player_count(n)
         mu = np.zeros(1 << n)
         seen = np.zeros(1 << n, dtype=bool)
@@ -281,13 +284,16 @@ def load_game(path) -> GameSpec:
             fields = line.split()
             if len(fields) != 2:
                 raise ValueError(f"line {k}: expected '<mask> <value>'")
-            mask = int(fields[0])
+            try:
+                mask, value = int(fields[0]), float(fields[1])
+            except ValueError as exc:
+                raise ValueError(f"line {k}: {exc}") from None
             if not 0 <= mask < seen.size:
                 raise ValueError(f"mask {mask} out of range for n={n}")
             if seen[mask]:
                 raise ValueError(f"mask {mask} appears twice")
             seen[mask] = True
-            mu[mask] = float(fields[1])
+            mu[mask] = value
     if not seen.all():
         raise ValueError(f"mask {int(np.argmin(seen))} is missing")
     return GameSpec(n=n, mu=_frozen(mu))

@@ -89,7 +89,7 @@ def simplex_width(points) -> float:
 
 
 def separating_normals(points):
-    """Facet normals and altitudes of the simplex of n points, from one solve.
+    """Facet normals and altitudes of each simplex in a stack of n points.
 
     Shifting each row along the all-ones direction to coordinate sum n keeps
     its sum-zero part and makes barycentric weights linear in the row, so
@@ -97,30 +97,24 @@ def separating_normals(points):
     the weight of x^p.  Row p of the returned ``normals`` is -g_p / ||g_p||,
     the unit sum-zero normal of the facet opposite x^p: the other points share
     one level along it and x^p sits below by its altitude 1 / ||g_p||.
-    Returns ``(normals, altitudes)``, or None when the points are affinely
-    degenerate within RANK_TOL.
 
-    A (w, n, n) stack of point sets is solved in one stacked inverse and
-    gives stacked ``(normals, altitudes)``; a degenerate set there has NaN
-    altitudes instead of None.  When some set is exactly singular the stacked
-    inverse fails as a whole, so the sets are then inverted one by one.
+    ``points`` is any (..., n, n) stack, solved in one stacked inverse; it
+    gives ``(normals, altitudes)`` of shapes (..., n, n) and (..., n).  A set
+    that is affinely degenerate within RANK_TOL has NaN normals and
+    altitudes.  When some set is exactly singular the stacked inverse fails
+    as a whole, so the sets are then inverted one by one.
     """
     pts = np.asarray(points, dtype=np.float64)
     shifted = pts - pts.mean(axis=-1, keepdims=True) + 1.0
     try:
         inverse = np.linalg.inv(shifted)
     except np.linalg.LinAlgError:
-        if pts.ndim == 2:
-            return None
-        inverse = np.stack([_inverse_or_nan(m) for m in shifted])
+        n = shifted.shape[-1]
+        inverse = np.stack([_inverse_or_nan(m) for m in shifted.reshape(-1, n, n)])
+        inverse = inverse.reshape(shifted.shape)
     gradients = inverse - inverse.mean(axis=-2, keepdims=True)
     altitudes = 1.0 / np.linalg.norm(gradients, axis=-2)
-    degenerate = ~np.all(altitudes > RANK_TOL, axis=-1)  # also catches nan
-    if pts.ndim == 2:
-        if degenerate:
-            return None
-    else:
-        altitudes[degenerate] = np.nan
+    altitudes[~np.all(altitudes > RANK_TOL, axis=-1)] = np.nan  # also catches nan
     return -np.swapaxes(gradients * altitudes[..., None, :], -1, -2), altitudes
 
 
@@ -137,16 +131,15 @@ def fit_separating_hyperplane(points, p: int, eps: float) -> Hyperplane | None:
     The normal v is row p of :func:`separating_normals`: a unit sum-zero
     vector with <v, x^q> at a common level L for all q != p and
     <v, x^p> = L - altitude.  The offset is L - eps.  Returns None when the
-    points are degenerate, i.e. no separation exists.
+    points are degenerate (NaN altitude), i.e. no separation exists.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if not 0 <= p < n:
         raise ValueError(f"index {p} out of range for {n} points")
-    fit = separating_normals(pts)
-    if fit is None:
+    normals, altitudes = separating_normals(pts)
+    if np.isnan(altitudes[p]):
         return None
-    normals, altitudes = fit
     level = float(normals[p] @ pts[p] + altitudes[p])
     return Hyperplane(normal=normals[p], offset=level - eps)
 

@@ -26,6 +26,10 @@ passing epoch and their replay, at most one window's worth, once per run.
 A run's state is built once from the n permutations, as their prefix masks
 ``chains`` and the gather ``index`` of their player ranks, plus one n x n
 array ``totals`` of summed prefix rewards.
+
+Each estimate is shifted onto the efficiency plane of the true mu(N), which
+treats mu(N) as known and reads it from the game (``oracle.game.mu_grand``):
+the one value the learner takes from anywhere but the bandit's rewards.
 """
 
 from __future__ import annotations
@@ -75,17 +79,11 @@ class LearnerConfig:
 
     ``perm_choice`` is "adjacent" or "cyclic" (:func:`resolve_permutations`);
     ``max_epochs`` is at most 2**63 - 1, numpy's largest binomial count.
-
-    With ``project_to_hn`` each estimate is shifted onto the efficiency plane
-    of the true mu(N): projection treats mu(N) as known and reads it from the
-    game (``oracle.game.mu_grand``), the one value the learner takes from
-    anywhere but the bandit's rewards.
     """
 
     delta: float
     perm_choice: str = "adjacent"
     max_epochs: int = DEFAULT_MAX_EPOCHS
-    project_to_hn: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -116,13 +114,13 @@ def rank_index(ranks: np.ndarray) -> np.ndarray:
 
 
 def vertex_estimates(totals: np.ndarray, epochs, index: np.ndarray,
-                     mu_grand: float | None = None) -> np.ndarray:
-    """Row p: the mean marginal vector of permutation p, player-indexed.
+                     mu_grand: float) -> np.ndarray:
+    """Row p: the mean marginal vector of permutation p, player-indexed,
+    shifted onto the efficiency hyperplane of ``mu_grand``.
 
     Prefix totals telescope into per-rank means, which ``index`` (from
     :func:`rank_index`) gathers into player order.  ``totals`` is one n x n
-    table, or a (w, n, n) stack with ``epochs`` a length-w sequence.  With
-    ``mu_grand`` each row is shifted onto the efficiency hyperplane.
+    table, or a (w, n, n) stack with ``epochs`` a length-w sequence.
     """
     by_rank = np.array(totals, dtype=np.float64)
     by_rank[..., 1:] -= totals[..., :-1]
@@ -130,35 +128,27 @@ def vertex_estimates(totals: np.ndarray, epochs, index: np.ndarray,
     n = by_rank.shape[-1]
     # take keeps the result C-ordered, so each row sums as in the n x n case
     estimates = by_rank.reshape(by_rank.shape[:-2] + (n * n,)).take(index, axis=-1)
-    if mu_grand is not None:
-        estimates += (mu_grand - estimates.sum(axis=-1, keepdims=True)) / n
+    estimates += (mu_grand - estimates.sum(axis=-1, keepdims=True)) / n
     return estimates
 
 
 def stopping_condition(estimates, bonus):
-    """True when every estimated vertex clears its separating hyperplane.
+    """Whether every estimated vertex clears its separating hyperplane.
 
     With margin eps = 2 sqrt(n) * bonus, the hyperplane through the other
     points shifted by eps toward x^p must clear the confidence box around x^p
     by at least n * eps: altitude_p - eps - bonus * ||v_p||_1 >= n * eps for
-    the unit facet normal v_p.  Degenerate estimates fail the check.
+    the unit facet normal v_p.  Degenerate estimates (NaN altitudes) fail.
 
-    A (w, n, n) stack of estimates with w bonuses is decided in one stacked
-    solve and gives a boolean array of w decisions.
+    A (..., n, n) stack of estimates with a matching stack of bonuses is
+    decided in one stacked solve and gives a boolean array of that shape.
     """
-    pts = np.asarray(estimates, dtype=np.float64)
-    if pts.size == 0:
-        return False
-    fit = separating_normals(pts)
-    if fit is None:
-        return False
-    normals, altitudes = fit
-    n = pts.shape[-1]
+    normals, altitudes = separating_normals(estimates)
+    n = altitudes.shape[-1]
     bonus = np.asarray(bonus, dtype=np.float64)[..., None]
     eps = 2.0 * math.sqrt(n) * bonus
     clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=-1)
-    passed = np.all(clearance >= n * eps, axis=-1)  # nan altitudes fail
-    return bool(passed) if pts.ndim == 2 else passed
+    return np.all(clearance >= n * eps, axis=-1)
 
 
 def check_window(epoch: int, max_epochs: int) -> list[int]:
@@ -200,7 +190,6 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     perms = resolve_permutations(config.perm_choice, n)
     chains = [prefix_coalitions(w) for w in perms]
     index = rank_index(np.array([w.ranks for w in perms]))
-    mu_grand = oracle.game.mu_grand if config.project_to_hn else None
     totals = np.zeros((n, n))
     epoch = 0
     while epoch < config.max_epochs:
@@ -211,7 +200,7 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
             run_epochs(totals, oracle, chains, target - epoch)
             epoch = target
             stack[i] = totals
-        estimates = vertex_estimates(stack, window, index, mu_grand)
+        estimates = vertex_estimates(stack, window, index, oracle.game.mu_grand)
         bonuses = [confidence_bonus(t, n, config.delta) for t in window]
         passed = stopping_condition(estimates, bonuses)
         if passed.any():

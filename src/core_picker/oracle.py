@@ -17,6 +17,8 @@ import numpy as np
 
 from .games import Coalition, GameSpec
 
+NOISE_MODELS = ("bernoulli", "none")
+
 
 class RewardOracle:
     """Stateful sampler answering coalition queries for one learner run.
@@ -26,8 +28,8 @@ class RewardOracle:
     """
 
     def __init__(self, game: GameSpec, seed, noise: str = "bernoulli"):
-        if noise not in ("bernoulli", "none"):
-            raise ValueError(f"unknown noise tag {noise!r}; use bernoulli or none")
+        if noise not in NOISE_MODELS:
+            raise ValueError(f"unknown noise tag {noise!r}; use {' or '.join(NOISE_MODELS)}")
         self.game = game
         self._bernoulli = noise == "bernoulli"
         self.rng = np.random.default_rng(seed)

@@ -150,6 +150,9 @@ def test_usage_errors_exit_two(capsys):
         ["learn", "--n", "3", "--seed", "-1"],
         ["sweep", "--n-max", "2", "--trials", "1", "--seed", "-1"],
         ["cw", "--n", "10", "--trials", "1", "--seed", "-1"],
+        ["sweep", "--n-max", "2", "--trials", "1000000000"],
+        ["cw", "--n", "10", "--trials", "10001"],
+        ["cw", "--n", "10", "--trials", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -166,6 +169,14 @@ def test_bad_learner_settings_fail_before_any_worker_starts(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--n-max", "3", "--trials", "4", flag, value])
         assert exc.value.code == 2
+
+
+def test_bad_noise_tag_fails_before_the_game_is_built(monkeypatch):
+    monkeypatch.setattr(cli, "GENERATORS", {
+        gen: lambda n, seed: pytest.fail("game built") for gen in cli.GENERATORS})
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--n", "20", "--noise", "gaussian"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -312,6 +312,9 @@ def test_save_load_simple(tmp_path):
     (lambda lines: [], "header has no n="),
     (lambda lines: lines + [""], "line 18: expected '<mask> <value>'"),
     (lambda lines: lines[:3] + [lines[3] + " 0.5"] + lines[4:], "line 4: expected"),
+    (lambda lines: lines[:3] + ["x2 0.5"] + lines[4:], "line 4: invalid literal for int"),
+    (lambda lines: lines[:5] + ["4 half"] + lines[6:], "line 6: could not convert"),
+    (lambda lines: ["n=abc"] + lines[1:], "header has a bad n=abc"),
 ])
 def test_load_rejects_malformed_files(tmp_path, edit, message):
     path = tmp_path / "g.txt"

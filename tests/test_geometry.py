@@ -209,12 +209,35 @@ def test_separating_normals_give_altitudes_and_facets(seed, n):
         assert levels[p] == pytest.approx(others[0] - altitudes[p], abs=1e-9)
     duplicate = pts.copy()
     duplicate[0] = pts[-1]
-    assert separating_normals(duplicate) is None
+    degenerate = [duplicate]
     if n >= 3:  # x^0 on the affine hull of the others
         weights = rng.random(n - 1)
         on_hull = pts.copy()
         on_hull[0] = weights / weights.sum() @ pts[1:]
-        assert separating_normals(on_hull) is None
+        degenerate.append(on_hull)
+    for points in degenerate:
+        normals, altitudes = separating_normals([points])
+        assert np.isnan(altitudes).all() and np.isnan(normals).all()
+
+
+def test_degenerate_sets_alone_get_nan_in_a_stack():
+    # one exactly singular set (a repeated point) and one with x^0 on the
+    # hull of the others, among regular sets
+    rng = np.random.default_rng(21)
+    stack = rng.random((6, 4, 4))
+    stack[1, 2] = stack[1, 3]
+    stack[4, 0] = 0.25 * stack[4, 1] + 0.75 * stack[4, 2]
+    normals, altitudes = separating_normals(stack)
+    assert normals.shape == (6, 4, 4) and altitudes.shape == (6, 4)
+    for i, points in enumerate(stack):
+        degenerate = i in (1, 4)
+        assert np.isnan(altitudes[i]).all() == np.isnan(normals[i]).all() == degenerate
+        if not degenerate:
+            alone = separating_normals(stack[i:i + 1])
+            assert normals[i].tobytes() == alone[0][0].tobytes()
+            assert altitudes[i].tobytes() == alone[1][0].tobytes()
+        planes = [fit_separating_hyperplane(points, p, 0.0) for p in range(4)]
+        assert all((plane is None) == degenerate for plane in planes)
 
 
 def test_two_points_separate_in_the_plane():

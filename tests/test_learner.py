@@ -144,15 +144,6 @@ def test_estimates_are_projected_running_means():
         assert estimates[p].sum() == pytest.approx(game.mu_grand, abs=1e-10)
 
 
-def test_unprojected_estimates_are_plain_means():
-    game = gen_strictly_convex(3, 2)
-    oracle = RewardOracle(game, seed=3)
-    perms = resolve_permutations("cyclic", 3)
-    totals = advance(oracle, perms, 20)
-    estimates = vertex_estimates(totals, 20, index_of(perms))
-    assert np.allclose(estimates, telescoped_means(totals, 20, perms), atol=1e-12)
-
-
 def test_window_stack_estimates_equal_single_tables():
     # n = 9 rows are long enough for numpy's unrolled row sums
     game = gen_strictly_convex(9, 4)
@@ -162,13 +153,12 @@ def test_window_stack_estimates_equal_single_tables():
     for k in (3, 4, 5):
         totals = advance(oracle, perms, k, totals)
         tables.append(totals.copy())
-    stack = np.array(tables)
-    for mu_grand in (None, game.mu_grand):
-        stacked = vertex_estimates(stack, epochs, index_of(perms), mu_grand)
-        for table, ep, est in zip(tables, epochs, stacked):
-            assert np.array_equal(est, vertex_estimates(table, ep, index_of(perms), mu_grand))
-            if mu_grand is None:
-                assert np.array_equal(est, telescoped_means(table, ep, perms))
+    stacked = vertex_estimates(np.array(tables), epochs, index_of(perms), game.mu_grand)
+    for table, ep, est in zip(tables, epochs, stacked):
+        assert np.array_equal(est, vertex_estimates(table, ep, index_of(perms), game.mu_grand))
+        raw = telescoped_means(table, ep, perms)
+        assert np.allclose(est, raw + (game.mu_grand - raw.sum(axis=1, keepdims=True)) / 9,
+                           rtol=0.0, atol=1e-12)
 
 
 def test_bernoulli_unit_game_estimates_concentrate():
@@ -184,25 +174,19 @@ def test_bernoulli_unit_game_estimates_concentrate():
 # stopping condition
 
 
-def test_stopping_empty_is_false():
-    assert stopping_condition([], 0.5) is False
-
-
 def test_stopping_scaled_basis_true():
     scale = 10 / np.sqrt(2)  # pairwise distance 10
-    points = [scale * np.eye(3)[i] for i in range(3)]
-    assert stopping_condition(points, 1e-4) is True
+    assert stopping_condition([scale * np.eye(3)], [1e-4]).tolist() == [True]
 
 
 def test_stopping_duplicate_points_false():
     scale = 10 / np.sqrt(2)
-    points = [scale * np.eye(3)[i] for i in [0, 0, 2]]
-    assert stopping_condition(points, 1e-4) is False
+    points = scale * np.eye(3)[[0, 0, 2]]
+    assert stopping_condition([points], [1e-4]).tolist() == [False]
 
 
 def test_stopping_large_bonus_false():
-    points = [np.eye(3)[i] for i in range(3)]
-    assert stopping_condition(points, 10.0) is False
+    assert stopping_condition([np.eye(3)], [10.0]).tolist() == [False]
 
 
 @pytest.mark.parametrize("singular", [False, True])
@@ -218,9 +202,9 @@ def test_stacked_stopping_equals_per_item_calls(singular):
             bonuses = rng.random(w) * 0.02
             stacked = stopping_condition(points, bonuses)
             assert stacked.shape == (w,)
-            single = [stopping_condition(p, float(b)) for p, b in zip(points, bonuses)]
-            assert all(type(s) is bool for s in single)
-            assert stacked.tolist() == single
+            single = [stopping_condition(points[i:i + 1], bonuses[i:i + 1]) for i in range(w)]
+            assert all(s.shape == (1,) for s in single)
+            assert stacked.tolist() == [bool(s[0]) for s in single]
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +279,6 @@ def test_two_player_game_runs():
     assert core_membership(game, report.allocation).max_violation <= 0.0
 
 
-def test_projection_off_leaves_raw_means():
-    # scale the table so the grand-coalition reward is genuinely stochastic
-    from core_picker.games import GameSpec
-
-    base = gen_strictly_convex(3, 5)
-    game = GameSpec(n=3, mu=base.mu * 0.8)
-    oracle = RewardOracle(game, seed=6)
-    config = LearnerConfig(delta=0.1, project_to_hn=False, max_epochs=10**5)
-    report = common_points_picking(oracle, config)
-    # raw telescoped means carry the grand-coalition sampling noise
-    sums = [float(e.sum()) for e in report.estimates]
-    assert all(abs(s - game.mu_grand) < 0.05 for s in sums)
-    assert any(s != game.mu_grand for s in sums)
-
-
 def test_check_windows_split_the_schedule_at_powers_of_two():
     epoch, windows = 0, []
     while epoch < 1000:
@@ -327,14 +296,13 @@ def one_check_per_epoch(oracle, config):
     """Reference: check the stopping rule at every scheduled epoch in turn."""
     n = oracle.game.n
     perms = resolve_permutations(config.perm_choice, n)
-    mu_grand = oracle.game.mu_grand if config.project_to_hn else None
     totals = None
     epoch, next_check = 0, 1
     while epoch < config.max_epochs:
         target = min(next_check, config.max_epochs)
         totals = advance(oracle, perms, target - epoch, totals)
         epoch = target
-        estimates = vertex_estimates(totals, epoch, index_of(perms), mu_grand)
+        estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.game.mu_grand)
         bonus = confidence_bonus(epoch, n, config.delta)
         if stopping_condition(estimates, bonus):
             return estimates, epoch, bonus, True
@@ -369,12 +337,12 @@ def test_capped_unit_run_matches_one_check_per_epoch(cap):
     assert_matches_reference(gen_unit_game(4), 9, config)
 
 
-def test_unprojected_and_noise_free_runs_match_one_check_per_epoch():
+def test_scaled_and_noise_free_runs_match_one_check_per_epoch():
     from core_picker.games import GameSpec
 
+    # a scaled table makes the grand-coalition reward genuinely stochastic
     scaled = GameSpec(n=3, mu=gen_strictly_convex(3, 5).mu * 0.8)
-    assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, project_to_hn=False,
-                                                      max_epochs=10**5))
+    assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, max_epochs=10**5))
     for game in (gen_strictly_convex(4, 3), gen_permutahedron(5)):
         assert_matches_reference(game, 2, LearnerConfig(delta=0.1), noise="none")
 
