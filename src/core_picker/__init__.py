@@ -4,7 +4,6 @@ from .games import (
     GameSpec,
     Permutation,
     adjacent_permutations,
-    adjacent_transpose,
     cyclic_permutations,
     gen_convex_boundary,
     gen_permutahedron,
@@ -39,4 +38,4 @@ from .learner import (
     vertex_estimates,
 )
 from .oracle import RewardOracle
-from .verify import MembershipReport, core_membership, core_vertices, shapley_value
+from .verify import MembershipReport, core_membership

@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "to their means")
     learn.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
     learn.add_argument("--out", default=None, help="CSV path (default stdout)")
-    learn.set_defaults(fn=cmd_learn)
+    learn.set_defaults(fn=cmd_learn, parser=learn)
 
     sweep = sub.add_parser("sweep", help="sample counts across player counts")
     sweep.add_argument("--n-min", type=int, default=2)
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
     sweep.add_argument("--out", default=None)
-    sweep.set_defaults(fn=cmd_sweep)
+    sweep.set_defaults(fn=cmd_sweep, parser=sweep)
 
     cw = sub.add_parser("cw", help="width constant of cyclic-vertex simplices")
     cw.add_argument("--n", type=int, nargs="+", default=[10, 50],
@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"trials per player count, in 1..{MAX_TRIALS}")
     cw.add_argument("--seed", type=int, default=0)
     cw.add_argument("--out", default=None)
-    cw.set_defaults(fn=cmd_cw)
+    cw.set_defaults(fn=cmd_cw, parser=cw)
     return parser
 
 
@@ -209,16 +209,20 @@ def _validate(parser, args) -> None:
         parser.error("need 2 <= n-min <= n-max <= 10")
     if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
         parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
+    if args.out is not None:
+        try:  # append mode keeps an existing file; the run rewrites it at the end
+            open(args.out, "a").close()
+        except OSError as exc:
+            parser.error(f"--out {args.out}: {exc.strerror}")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = _build_parser().parse_args(argv)
+    _validate(args.parser, args)  # errors print the usage of the chosen subcommand
     try:
         return args.fn(args)
     except ValueError as exc:  # a game, the oracle or the learner config rejected an argument
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ marginal vectors that form the vertices of the core of a convex game.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +61,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    def player_at(self, rank: int) -> int:
-        return self.ranks.index(rank)
-
     def arrival_order(self) -> tuple[int, ...]:
         """Players sorted by arrival, earliest first."""
         return tuple(np.argsort(self.ranks, kind="stable"))
@@ -83,23 +79,16 @@ def prefix_coalitions(w: Permutation) -> list[Coalition]:
     return chain
 
 
-def adjacent_transpose(w: Permutation, i: int) -> Permutation:
-    """Swap the players at arrival positions i and i+1 (0-based).
-
-    Requires 0 <= i <= n-2.  Applying twice restores the input.
-    """
-    if not 0 <= i <= w.n - 2:
-        raise ValueError(f"transposition index {i} out of range for n={w.n}")
-    a = w.player_at(i)
-    b = w.player_at(i + 1)
-    ranks = list(w.ranks)
-    ranks[a], ranks[b] = i + 1, i
-    return Permutation(tuple(ranks))
-
-
 def adjacent_permutations(base: Permutation) -> list[Permutation]:
-    """A permutation together with its n-1 adjacent-transposition neighbours."""
-    return [base] + [adjacent_transpose(base, i) for i in range(base.n - 1)]
+    """A permutation together with its n-1 adjacent-transposition neighbours.
+
+    Neighbour i + 1 swaps the ranks i and i+1 of base, so the players arriving
+    at positions i and i+1 trade places.
+    """
+    return [base] + [
+        Permutation(tuple(i + 1 if r == i else i if r == i + 1 else r for r in base.ranks))
+        for i in range(base.n - 1)
+    ]
 
 
 def cyclic_permutations(n: int) -> list[Permutation]:
@@ -297,9 +286,3 @@ def load_game(path) -> GameSpec:
     if not seen.all():
         raise ValueError(f"mask {int(np.argmin(seen))} is missing")
     return GameSpec(n=n, mu=_frozen(mu))
-
-
-def all_permutations(n: int):
-    """Iterate every Permutation of n players (n! of them)."""
-    for ranks in itertools.permutations(range(n)):
-        yield Permutation(ranks)

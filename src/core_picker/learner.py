@@ -175,8 +175,8 @@ class RunReport:
     epochs: int
     samples: int
     stopped_naturally: bool
-    estimates: tuple = ()   # final per-permutation vertex estimates
-    bonus: float = float("nan")  # confidence radius at the final epoch
+    estimates: np.ndarray  # (n, n): final vertex estimates, one row per permutation
+    bonus: float  # confidence radius at the final epoch
 
 
 def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunReport:
@@ -221,6 +221,6 @@ def _report(estimates: np.ndarray, epoch: int, bonus: float, stopped: bool) -> R
         epochs=epoch,
         samples=epoch * n * n,
         stopped_naturally=stopped,
-        estimates=tuple(estimates),
+        estimates=estimates,
         bonus=bonus,
     )

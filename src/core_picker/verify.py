@@ -1,8 +1,7 @@
-"""Ground-truth oracles for small games: exhaustive scans and enumerations.
+"""Ground truth for a returned allocation: an exhaustive core-membership scan.
 
-These deliberately avoid the geometry used by the learner so the two sides
-can check each other: membership is a scan over all 2^n coalition
-constraints, vertices come from enumerating all n! permutations.
+It deliberately avoids the geometry used by the learner so the two sides can
+check each other: membership is a scan over all 2^n coalition constraints.
 """
 
 from __future__ import annotations
@@ -11,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec, all_permutations, marginal_vector
+from .games import GameSpec
 
-VERTEX_DEDUP_TOL = 1e-10
-MAX_ENUM_PLAYERS = 8  # n! enumeration cap
 _SCAN_BITS = 16  # 2^16 coalitions per membership block: 512 KiB of doubles
 
 
@@ -85,29 +82,3 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
         worst_coalition=worst,
         efficiency_gap=efficiency_gap,
     )
-
-
-def core_vertices(game: GameSpec) -> np.ndarray:
-    """All distinct marginal vectors, one row each, over the n! permutations.
-
-    In a convex game these are exactly the vertices of the core; strictly
-    convex games yield n! distinct rows, degenerate ones collapse.
-    """
-    if game.n > MAX_ENUM_PLAYERS:
-        raise ValueError(f"vertex enumeration capped at n={MAX_ENUM_PLAYERS}")
-    rows = np.array([marginal_vector(game, w) for w in all_permutations(game.n)])
-    keys = np.round(rows / VERTEX_DEDUP_TOL)  # group near-equal rows, keep originals
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return rows[np.sort(first)]
-
-
-def shapley_value(game: GameSpec) -> np.ndarray:
-    """Average of all n! marginal vectors."""
-    if game.n > MAX_ENUM_PLAYERS:
-        raise ValueError(f"Shapley enumeration capped at n={MAX_ENUM_PLAYERS}")
-    total = np.zeros(game.n)
-    count = 0
-    for w in all_permutations(game.n):
-        total += marginal_vector(game, w)
-        count += 1
-    return total / count

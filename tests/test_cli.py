@@ -11,7 +11,23 @@ from core_picker.cli import main, run_single, trial_streams
 
 OUT = Path(__file__).resolve().parent.parent / "out"
 SUMMARIZE = OUT.parent / "scripts" / "summarize_sweep.py"
+REPRODUCE = OUT.parent / "scripts" / "reproduce.sh"
 README = OUT.parent / "README.md"
+
+
+def shell_commands(path, prefix):
+    """The argvs of the lines of path that start with prefix, continued lines joined."""
+    lines = path.read_text().replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith(prefix)]
+
+
+def reproduce_cases():
+    """(output file name, argv without --out) of each command of scripts/reproduce.sh."""
+    cases = []
+    for argv in shell_commands(REPRODUCE, "core-picker "):
+        i = argv.index("--out")
+        cases.append((Path(argv[i + 1]).name, argv[1:i] + argv[i + 2:]))
+    return cases
 
 
 def read_rows(path):
@@ -57,9 +73,7 @@ def test_learn_cyclic_choice_also_accepts(tmp_path):
 
 
 def test_readme_learn_examples_run():
-    lines = README.read_text().splitlines()
-    commands = [shlex.split(line, comments=True) for line in lines
-                if line.startswith("core-picker learn ")]
+    commands = shell_commands(README, "core-picker learn ")
     assert commands
     for argv in commands:
         assert main(argv[1:]) == 0, argv
@@ -132,7 +146,8 @@ def test_cw_output_columns_and_positive_width(tmp_path):
         assert float(row[3]) > 0.0
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "out.csv")
     for argv in (
         ["sweep", "--n-min", "2", "--n-max", "12"],
         ["learn", "--n", "1"],
@@ -153,41 +168,55 @@ def test_usage_errors_exit_two(capsys):
         ["sweep", "--n-max", "2", "--trials", "1000000000"],
         ["cw", "--n", "10", "--trials", "10001"],
         ["cw", "--n", "10", "--trials", "0"],
+        ["learn", "--n", "3", "--delta", "nan"],
+        ["learn", "--n", "3", "--out", missing],
+        ["sweep", "--n-max", "2", "--trials", "1", "--out", missing],
+        ["cw", "--n", "10", "--trials", "1", "--out", str(tmp_path)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"usage: core-picker {argv[0]} "), argv
         assert "error: " in err
         if "--seed" in argv:
             assert "error: --seed must be nonnegative" in err
+        if "--out" in argv:
+            assert "error: --out " in err
 
 
-def test_bad_learner_settings_fail_before_any_worker_starts(monkeypatch):
+def test_bad_learner_settings_fail_before_any_worker_starts(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_parallel_map", lambda fn, jobs: pytest.fail("workers started"))
-    for flag, value in (("--max-epochs", "0"), ("--max-epochs", str(2**63)), ("--delta", "1.5")):
+    missing = str(tmp_path / "missing" / "out.csv")
+    for argv in (["sweep", "--n-max", "3", "--trials", "4", "--max-epochs", "0"],
+                 ["sweep", "--n-max", "3", "--trials", "4", "--max-epochs", str(2**63)],
+                 ["sweep", "--n-max", "3", "--trials", "4", "--delta", "1.5"],
+                 ["sweep", "--n-max", "3", "--trials", "4", "--out", missing],
+                 ["cw", "--n", "10", "--trials", "4", "--out", missing]):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--n-max", "3", "--trials", "4", flag, value])
+            main(argv)
         assert exc.value.code == 2
 
 
-def test_bad_noise_tag_fails_before_the_game_is_built(monkeypatch):
+def test_bad_noise_tag_fails_before_the_game_is_built(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "GENERATORS", {
         gen: lambda n, seed: pytest.fail("game built") for gen in cli.GENERATORS})
-    with pytest.raises(SystemExit) as exc:
-        main(["learn", "--n", "20", "--noise", "gaussian"])
-    assert exc.value.code == 2
+    for argv in (["learn", "--n", "20", "--noise", "gaussian"],
+                 ["learn", "--n", "20", "--out", str(tmp_path / "missing" / "out.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("strict_sweep.csv", ["sweep", "--gen", "strict", "--n-min", "2", "--n-max", "6",
-                          "--trials", "20", "--seed", "42"]),
-    ("convex_sweep.csv", ["sweep", "--gen", "convex", "--perms", "cyclic", "--n-min", "2",
-                          "--n-max", "6", "--trials", "20", "--seed", "7"]),
-    ("cw.csv", ["cw", "--n", "10", "50", "--trials", "500", "--seed", "0"]),
-])
+def test_reproduce_script_pins_every_output_file():
+    names = {name for name, _ in reproduce_cases()}
+    medians = {name.replace("_sweep", "_medians") for name in names}
+    assert names | medians == {p.name for p in OUT.glob("*.csv")}
+
+
+@pytest.mark.parametrize("name, argv", reproduce_cases())
 def test_sweep_reproduces_committed_output(tmp_path, name, argv):
-    # the commands of scripts/reproduce.sh; every file in out/ is part of the output contract
+    # every file in out/ is part of the output contract
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (OUT / name).read_bytes()

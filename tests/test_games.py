@@ -6,7 +6,6 @@ from core_picker.games import (
     GameSpec,
     Permutation,
     adjacent_permutations,
-    adjacent_transpose,
     cyclic_permutations,
     gen_convex_boundary,
     gen_permutahedron,
@@ -120,7 +119,7 @@ def test_prefix_chain_nested_and_ends_at_grand(w):
 
 
 def test_adjacent_transpose_swaps_first_two():
-    w = adjacent_transpose(Permutation.identity(3), 0)
+    w = adjacent_permutations(Permutation.identity(3))[1]
     assert w.ranks == (1, 0, 2)  # player 1 now arrives first
 
 
@@ -128,15 +127,13 @@ def test_adjacent_transpose_swaps_first_two():
 @given(st.integers(3, 7).flatmap(permutation_strategy), st.data())
 def test_adjacent_transpose_involution_and_support(w, data):
     i = data.draw(st.integers(0, w.n - 2))
-    swapped = adjacent_transpose(w, i)
-    assert adjacent_transpose(swapped, i) == w
+    swapped = adjacent_permutations(w)[i + 1]
+    assert adjacent_permutations(swapped)[i + 1] == w
+    order, swapped_order = w.arrival_order(), swapped.arrival_order()
+    assert swapped_order[i:i + 2] == (order[i + 1], order[i])  # the players at positions i, i+1
+    assert swapped_order[:i] == order[:i] and swapped_order[i + 2:] == order[i + 2:]
     changed = [p for p in range(w.n) if swapped.ranks[p] != w.ranks[p]]
     assert len(changed) == 2
-
-
-def test_adjacent_transpose_range_check():
-    with pytest.raises(ValueError):
-        adjacent_transpose(Permutation.identity(3), 2)
 
 
 def test_cyclic_permutations_small():
@@ -198,8 +195,9 @@ def test_adjacent_marginal_vectors_differ_in_two_coordinates():
         bases = [Permutation.identity(n),
                  Permutation(tuple(int(r) for r in rng.permutation(n)))]
         for w in bases:
+            neighbours = adjacent_permutations(w)
             for i in range(n - 1):
-                delta = marginal_vector(game, w) - marginal_vector(game, adjacent_transpose(w, i))
+                delta = marginal_vector(game, w) - marginal_vector(game, neighbours[i + 1])
                 moved = np.nonzero(np.abs(delta) > 1e-14)[0]
                 assert len(moved) == 2
                 assert abs(delta[moved[0]] + delta[moved[1]]) < 1e-12

@@ -320,6 +320,8 @@ def assert_matches_reference(game, seed, config, noise="bernoulli"):
     assert (report.epochs, report.stopped_naturally, report.bonus) == (epoch, stopped, bonus)
     assert report.samples == epoch * game.n**2 == oracle.total_queries == reference.total_queries
     assert report.allocation.tobytes() == mean_point(estimates).tobytes()
+    assert report.estimates.shape == (game.n, game.n)
+    assert report.estimates.tobytes() == estimates.tobytes()
     assert oracle.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
