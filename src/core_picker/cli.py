@@ -137,9 +137,10 @@ def cmd_learn(args) -> int:
 
 def cmd_sweep(args) -> int:
     LearnerConfig(delta=args.delta, max_epochs=args.max_epochs)  # fail before any worker starts
+    # a job's cost grows with n: start the costliest, so the pool ends on cheap ones
     jobs = [
         (n, t, args.gen, args.perms, args.delta, args.seed, args.max_epochs)
-        for n in range(args.n_min, args.n_max + 1)
+        for n in range(args.n_max, args.n_min - 1, -1)
         for t in range(args.trials)
     ]
     rows = sorted(_parallel_map(_sweep_worker, jobs))
@@ -148,7 +149,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cw(args) -> int:
-    jobs = [(n, t, args.seed) for n in args.n for t in range(args.trials)]
+    jobs = [(n, t, args.seed) for n in sorted(args.n, reverse=True)  # costliest first
+            for t in range(args.trials)]
     rows = sorted(_parallel_map(_cw_worker, jobs))
     _write_csv(args.out, "n,trial,width,c_w", rows)
     return 0
@@ -210,10 +212,13 @@ def _validate(parser, args) -> None:
     if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
         parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
     if args.out is not None:
+        fresh = not os.path.lexists(args.out)
         try:  # append mode keeps an existing file; the run rewrites it at the end
             open(args.out, "a").close()
         except OSError as exc:
             parser.error(f"--out {args.out}: {exc.strerror}")
+        if fresh:  # a run that fails later with a usage error leaves no empty file
+            os.remove(args.out)
 
 
 def main(argv=None) -> int:

@@ -96,11 +96,11 @@ def run_epochs(totals: np.ndarray, oracle: RewardOracle, chains, k: int) -> None
     """Advance k epochs: add k rewards of every prefix chains[p][i] to totals[p, i].
 
     ``totals[p, i]`` is the summed reward of the (i+1)-th arrival prefix of
-    permutation p; the n^2 prefix sums are drawn in row-major order.
+    permutation p; the n^2 prefix sums are drawn in row-major order and added
+    to ``totals`` in one array add.
     """
-    for p, chain in enumerate(chains):
-        for i, coalition in enumerate(chain):
-            totals[p, i] += oracle.query_sum(coalition, k)
+    query_sum = oracle.query_sum
+    totals += [[query_sum(coalition, k) for coalition in chain] for chain in chains]
 
 
 def rank_index(ranks: np.ndarray) -> np.ndarray:

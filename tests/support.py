@@ -8,11 +8,26 @@ paths, so the two sides can validate each other.
 
 import numpy as np
 
+from core_picker.games import GameSpec
 from core_picker.geometry import (
     ConfidenceBox,
     box_hyperplane_clearance,
     fit_separating_hyperplane,
 )
+
+
+def gen_weighted_game(n: int, seed) -> GameSpec:
+    """An asymmetric strictly convex game: mu(S) = (w.1_S)^2 / (w.1_N)^2.
+
+    The weights are w ~ U[0.5, 1.5]^n, and the pairwise slack is
+    2 w_i w_j / (w.1_N)^2 > 0.  Every package generator is symmetric (mu(S)
+    depends on |S| alone); here it depends on which players S holds, so a
+    prefix chain built from the wrong players changes what the learner sees.
+    """
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+    masks = np.arange(1 << n)
+    weight = ((masks[:, None] >> np.arange(n)) & 1) @ w
+    return GameSpec(n=n, mu=(weight / weight[-1]) ** 2)
 
 
 def coordinate_matrix(points, i: int) -> np.ndarray:

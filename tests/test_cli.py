@@ -148,6 +148,8 @@ def test_cw_output_columns_and_positive_width(tmp_path):
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "missing" / "out.csv")
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
     for argv in (
         ["sweep", "--n-min", "2", "--n-max", "12"],
         ["learn", "--n", "1"],
@@ -172,6 +174,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["learn", "--n", "3", "--out", missing],
         ["sweep", "--n-max", "2", "--trials", "1", "--out", missing],
         ["cw", "--n", "10", "--trials", "1", "--out", str(tmp_path)],
+        # writable --out paths, rejected by the game or the learner config after the probe
+        ["learn", "--n", "30", "--out", str(fresh)],
+        ["sweep", "--n-max", "2", "--trials", "1", "--delta", "2", "--out", str(fresh)],
+        ["learn", "--n", "30", "--out", str(kept)],
+        ["sweep", "--n-max", "2", "--trials", "1", "--delta", "2", "--out", str(kept)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -181,8 +188,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert "error: " in err
         if "--seed" in argv:
             assert "error: --seed must be nonnegative" in err
-        if "--out" in argv:
+        if "--out" in argv and argv[-1] not in (str(fresh), str(kept)):
             assert "error: --out " in err
+        assert not fresh.exists(), argv  # a usage error leaves no empty output file
+        assert kept.read_text() == "earlier output\n", argv
+
+
+def test_pool_jobs_start_with_the_largest_n(tmp_path, monkeypatch):
+    # a job's cost grows with n, so the pool should end on the cheap ones
+    started = []
+    monkeypatch.setattr(cli, "_parallel_map", lambda fn, jobs: started.append(jobs) or [])
+    out = str(tmp_path / "out.csv")
+    assert main(["sweep", "--n-min", "2", "--n-max", "4", "--trials", "2", "--out", out]) == 0
+    assert main(["cw", "--n", "10", "50", "20", "--trials", "2", "--out", out]) == 0
+    assert [[job[:2] for job in jobs] for jobs in started] == [
+        [(4, 0), (4, 1), (3, 0), (3, 1), (2, 0), (2, 1)],
+        [(50, 0), (50, 1), (20, 0), (20, 1), (10, 0), (10, 1)],
+    ]
 
 
 def test_bad_learner_settings_fail_before_any_worker_starts(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from core_picker.learner import (
 )
 from core_picker.oracle import RewardOracle
 from core_picker.verify import core_membership
+from support import gen_weighted_game
 
 
 def noise_free(game, seed):
@@ -92,6 +93,28 @@ def advance(oracle, perms, k, totals=None):
         totals = np.zeros((len(perms), len(perms)))
     run_epochs(totals, oracle, [prefix_coalitions(w) for w in perms], k)
     return totals
+
+
+def draw_row_major(totals, oracle, chains, k):
+    """Reference for run_epochs: one query_sum per prefix, row by row."""
+    for p, chain in enumerate(chains):
+        for i, coalition in enumerate(chain):
+            totals[p, i] += oracle.query_sum(coalition, k)
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "none"])
+@pytest.mark.parametrize("k", [1, 10**6, 2**63 - 1])
+def test_run_epochs_draws_row_major(noise, k):
+    chains = [prefix_coalitions(w) for w in resolve_permutations("cyclic", 4)]
+    game = gen_weighted_game(4, 3)
+    oracle, reference = RewardOracle(game, 21, noise), RewardOracle(game, 21, noise)
+    totals, expected = np.zeros((4, 4)), np.zeros((4, 4))
+    for _ in range(2):
+        run_epochs(totals, oracle, chains, k)
+        draw_row_major(expected, reference, chains, k)
+    assert totals.tobytes() == expected.tobytes()
+    assert oracle.total_queries == reference.total_queries == 2 * 16 * k
+    assert oracle.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def index_of(perms):
@@ -296,11 +319,12 @@ def one_check_per_epoch(oracle, config):
     """Reference: check the stopping rule at every scheduled epoch in turn."""
     n = oracle.game.n
     perms = resolve_permutations(config.perm_choice, n)
-    totals = None
+    chains = [prefix_coalitions(w) for w in perms]
+    totals = np.zeros((n, n))
     epoch, next_check = 0, 1
     while epoch < config.max_epochs:
         target = min(next_check, config.max_epochs)
-        totals = advance(oracle, perms, target - epoch, totals)
+        draw_row_major(totals, oracle, chains, target - epoch)
         epoch = target
         estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.game.mu_grand)
         bonus = confidence_bonus(epoch, n, config.delta)
@@ -347,6 +371,39 @@ def test_scaled_and_noise_free_runs_match_one_check_per_epoch():
     assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, max_epochs=10**5))
     for game in (gen_strictly_convex(4, 3), gen_permutahedron(5)):
         assert_matches_reference(game, 2, LearnerConfig(delta=0.1), noise="none")
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "none"])
+def test_weighted_runs_match_one_check_per_epoch(noise):
+    # an asymmetric game: chains of the wrong players change the estimates
+    for n in (3, 5):
+        for choice in ("adjacent", "cyclic"):
+            config = LearnerConfig(delta=0.1, perm_choice=choice)
+            assert_matches_reference(gen_weighted_game(n, n), 60 + n, config, noise)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_noise_free_weighted_estimates_are_the_marginal_vectors(n):
+    game = gen_weighted_game(n, n)
+    for choice in ("adjacent", "cyclic"):
+        report = common_points_picking(noise_free(game, 0),
+                                       LearnerConfig(delta=0.1, perm_choice=choice))
+        assert report.stopped_naturally
+        truth = [marginal_vector(game, w) for w in resolve_permutations(choice, n)]
+        assert np.allclose(report.estimates, truth, rtol=0.0, atol=1e-12), choice
+
+
+def test_noisy_weighted_runs_are_sound_and_covered():
+    n = 4
+    game = gen_weighted_game(n, 8)
+    for choice in ("adjacent", "cyclic"):
+        report = common_points_picking(RewardOracle(game, seed=80),
+                                       LearnerConfig(delta=0.1, perm_choice=choice))
+        assert report.stopped_naturally
+        truth = [marginal_vector(game, w) for w in resolve_permutations(choice, n)]
+        assert np.abs(report.estimates - truth).max() <= report.bonus, choice
+        check = core_membership(game, report.allocation)
+        assert check.max_violation <= 0.0 and check.efficiency_gap <= 1e-10
 
 
 class KnownGrandValue:
