@@ -191,8 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cw = sub.add_parser("cw", help="width constant of cyclic-vertex simplices")
     cw.add_argument("--n", type=int, nargs="+", default=[10, 50],
-                    help=f"player counts, each in 2..{MAX_CW_PLAYERS}; a trial runs n SVDs "
-                         "of an n x (n-1) matrix, so its cost grows as n^4")
+                    help=f"distinct player counts, each in 2..{MAX_CW_PLAYERS}; a trial "
+                         "runs n SVDs of an n x (n-1) matrix, so its cost grows as n^4")
     cw.add_argument("--trials", type=int, default=500,
                     help=f"trials per player count, in 1..{MAX_TRIALS}")
     cw.add_argument("--seed", type=int, default=0)
@@ -211,6 +211,8 @@ def _validate(parser, args) -> None:
         parser.error("need 2 <= n-min <= n-max <= 10")
     if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
         parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
+    if args.command == "cw" and len(set(args.n)) < len(args.n):
+        parser.error("--n entries must be distinct")  # a repeat would run its trials twice
     if args.out is not None:
         fresh = not os.path.lexists(args.out)
         try:  # append mode keeps an existing file; the run rewrites it at the end

@@ -62,8 +62,12 @@ class Permutation:
         return cls(tuple(range(n)))
 
     def arrival_order(self) -> tuple[int, ...]:
-        """Players sorted by arrival, earliest first."""
-        return tuple(np.argsort(self.ranks, kind="stable"))
+        """Players sorted by arrival, earliest first, as Python ints.
+
+        Python ints keep the prefix masks built from them Python ints, which
+        the oracle compares and indexes with faster than numpy scalars.
+        """
+        return tuple(sorted(range(self.n), key=self.ranks.__getitem__))
 
 
 def prefix_coalitions(w: Permutation) -> list[Coalition]:

@@ -23,6 +23,16 @@ epoch, so the random stream, the sample count and the report are exactly
 those of checking epoch by epoch.  The price is the advances past the first
 passing epoch and their replay, at most one window's worth, once per run.
 
+Early windows are skipped undecided.  An estimate's by-rank means lie in
+[-1, 1], so no altitude exceeds 2 sqrt(n), and a vertex clears its hyperplane
+only if the bonus is at most ``stop_bonus_ceiling(n)`` = 2 sqrt(n) /
+(2 sqrt(n) (n+1) + sqrt(2)) (derived there).  The bonus falls with the epoch
+from epoch 2 on, so a window whose last check still has a larger bonus (by a
+relative 1e-9, for rounding) cannot stop.  Such a window draws exactly as a
+decided one, through the same advances, but saves no state, builds no stack
+and makes no stopping test.  The window ending at the epoch cap is always
+decided, since the report needs its estimates.
+
 A run's state is built once from the n permutations, as their prefix masks
 ``chains`` and the gather ``index`` of their player ranks, plus one n x n
 array ``totals`` of summed prefix rewards.
@@ -151,6 +161,22 @@ def stopping_condition(estimates, bonus):
     return np.all(clearance >= n * eps, axis=-1)
 
 
+def stop_bonus_ceiling(n: int) -> float:
+    """The largest bonus at which :func:`stopping_condition` can pass on n
+    estimates built from rewards in [0, 1]: 2 sqrt(n) / (2 sqrt(n) (n+1) + sqrt(2)).
+
+    Every by-rank mean is a difference of two running means in [0, 1], so it
+    lies in [-1, 1]; projecting onto the efficiency plane shortens distances,
+    so two estimates are at most 2 sqrt(n) apart, and no altitude exceeds
+    2 sqrt(n).  A vertex passes only with altitude >= (n+1) 2 sqrt(n) b +
+    b ||v||_1, and a unit sum-zero normal v has ||v||_1 >= sqrt(2) (its
+    positive and negative parts each sum to at least 1/sqrt(2)).  The bound
+    is exact at n = 2, where (1, -1) and (-1, 1) pass at any b <= 2/7.
+    """
+    root = 2.0 * math.sqrt(n)
+    return root / (root * (n + 1) + math.sqrt(2.0))
+
+
 def check_window(epoch: int, max_epochs: int) -> list[int]:
     """The scheduled checks after ``epoch`` in the doubling window of the next.
 
@@ -191,10 +217,17 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     chains = [prefix_coalitions(w) for w in perms]
     index = rank_index(np.array([w.ranks for w in perms]))
     totals = np.zeros((n, n))
+    ceiling = stop_bonus_ceiling(n) * (1.0 + 1e-9)  # slack for rounding in the solve
     epoch = 0
     while epoch < config.max_epochs:
-        start, saved = epoch, oracle.state
         window = check_window(epoch, config.max_epochs)
+        last = window[-1]  # the window's smallest bonus
+        if last < config.max_epochs and confidence_bonus(last, n, config.delta) > ceiling:
+            for target in window:  # no check here can pass: draw as a decided window would
+                run_epochs(totals, oracle, chains, target - epoch)
+                epoch = target
+            continue
+        start, saved = epoch, oracle.state
         stack = np.empty((len(window), n, n))
         for i, target in enumerate(window):
             run_epochs(totals, oracle, chains, target - epoch)

@@ -146,7 +146,11 @@ def test_cw_output_columns_and_positive_width(tmp_path):
         assert float(row[3]) > 0.0
 
 
-def test_usage_errors_exit_two(tmp_path, capsys):
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
+    def no_workers(fn, jobs):
+        raise AssertionError("a usage error started the worker pool")
+
+    monkeypatch.setattr(cli, "_parallel_map", no_workers)
     missing = str(tmp_path / "missing" / "out.csv")
     fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
     kept.write_text("earlier output\n")
@@ -170,6 +174,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["sweep", "--n-max", "2", "--trials", "1000000000"],
         ["cw", "--n", "10", "--trials", "10001"],
         ["cw", "--n", "10", "--trials", "0"],
+        ["cw", "--n", "10", "10", "--trials", "2"],
         ["learn", "--n", "3", "--delta", "nan"],
         ["learn", "--n", "3", "--out", missing],
         ["sweep", "--n-max", "2", "--trials", "1", "--out", missing],
@@ -188,6 +193,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert "error: " in err
         if "--seed" in argv:
             assert "error: --seed must be nonnegative" in err
+        if argv[:4] == ["cw", "--n", "10", "10"]:
+            assert "error: --n entries must be distinct" in err
         if "--out" in argv and argv[-1] not in (str(fresh), str(kept)):
             assert "error: --out " in err
         assert not fresh.exists(), argv  # a usage error leaves no empty output file

@@ -108,6 +108,17 @@ def test_prefix_chain_custom_order():
     assert chain == [0b100, 0b101, 0b111]
 
 
+@pytest.mark.parametrize("n", [3, 20])
+def test_prefix_masks_are_python_ints(n):
+    # the oracle compares and indexes with them; numpy scalars cost more there
+    for perms in (adjacent_permutations(Permutation.identity(n)), cyclic_permutations(n)):
+        for w in perms:
+            chain = prefix_coalitions(w)
+            assert all(type(S) is int for S in chain)
+            assert chain == [sum(1 << p for p in range(n) if w.ranks[p] < k)
+                             for k in range(1, n + 1)]
+
+
 @settings(max_examples=60)
 @given(st.integers(2, 7).flatmap(permutation_strategy))
 def test_prefix_chain_nested_and_ends_at_grand(w):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from core_picker import learner
 from core_picker.games import (
     cyclic_permutations,
     gen_permutahedron,
@@ -22,6 +23,7 @@ from core_picker.learner import (
     rank_index,
     resolve_permutations,
     run_epochs,
+    stop_bonus_ceiling,
     stopping_condition,
     vertex_estimates,
 )
@@ -230,6 +232,28 @@ def test_stacked_stopping_equals_per_item_calls(singular):
             assert stacked.tolist() == [bool(s[0]) for s in single]
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_no_estimates_pass_above_the_bonus_ceiling(n):
+    # by-rank means anywhere in [-1, 1], the corners included, projected as a run does
+    rng = np.random.default_rng(100 + n)
+    index = index_of(resolve_permutations("cyclic", n))
+    ceiling = stop_bonus_ceiling(n)
+    for mu_grand in (0.0, 0.5, 1.0):
+        corners = rng.choice([-1.0, 1.0], (1000, n, n))
+        for by_rank in (corners, rng.uniform(-1.0, 1.0, (1000, n, n))):
+            totals = np.cumsum(by_rank, axis=-1)
+            estimates = vertex_estimates(totals, np.ones(1000), index, mu_grand)
+            assert not stopping_condition(estimates, np.full(1000, ceiling * (1 + 1e-9))).any()
+            assert stopping_condition(estimates, np.full(1000, ceiling / 10)).any()  # not vacuous
+
+
+def test_bonus_ceiling_is_exact_for_two_players():
+    pair = [[1.0, -1.0], [-1.0, 1.0]]
+    assert stop_bonus_ceiling(2) == pytest.approx(2 / 7, rel=1e-15)
+    assert stopping_condition([pair, pair], [0.28, stop_bonus_ceiling(2) * (1 - 1e-9)]).all()
+    assert not stopping_condition([pair], [stop_bonus_ceiling(2) * (1 + 1e-9)]).any()
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -313,6 +337,27 @@ def test_check_windows_split_the_schedule_at_powers_of_two():
     assert windows[-1][-1] == 1000  # the cap is the last check
     for j, window in enumerate(windows):
         assert all(2 ** (j - 1) < t <= 2 ** j for t in window)
+
+
+def test_windows_that_cannot_stop_skip_the_stopping_test(monkeypatch):
+    n, config = 3, LearnerConfig(delta=0.1)
+    ceiling = stop_bonus_ceiling(n) * (1 + 1e-9)
+    epoch, last = 0, 1
+    while confidence_bonus(last, n, 0.1) > ceiling:
+        epoch, last = last, check_window(last, config.max_epochs)[-1]
+    assert epoch == 245  # the last skipped window is the one in (128, 256]
+    seen = []
+
+    def counted(estimates, bonuses):
+        seen.append(list(bonuses))
+        return stopping_condition(estimates, bonuses)
+
+    monkeypatch.setattr(learner, "stopping_condition", counted)
+    game = gen_strictly_convex(n, 3)
+    report = common_points_picking(RewardOracle(game, seed=4), config)
+    assert report.stopped_naturally and report.epochs > 245
+    first = [confidence_bonus(t, n, 0.1) for t in check_window(245, config.max_epochs)]
+    assert seen[0] == first
 
 
 def one_check_per_epoch(oracle, config):
