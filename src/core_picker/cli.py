@@ -59,10 +59,6 @@ def run_single(n, gen, perm_choice, delta, seed, noise, max_epochs, trial=0):
     check = core_membership(game, report.allocation, tol=MEMBERSHIP_TOL)
     return {
         "n": n,
-        "trial": trial,
-        "seed": seed,
-        "delta": delta,
-        "perm_choice": perm_choice,
         "epochs": report.epochs,
         "samples": report.samples,
         "stopped": report.stopped_naturally,
@@ -91,7 +87,11 @@ def _cw_worker(args):
 
 def _worker_count() -> int:
     """Pool size: CORE_PICKER_THREADS (default 8), at most the CPU count."""
-    requested = max(1, int(os.environ.get("CORE_PICKER_THREADS", 8)))
+    value = os.environ.get("CORE_PICKER_THREADS", "8")
+    try:
+        requested = max(1, int(value))
+    except ValueError:  # int() would name the value but not where it came from
+        raise ValueError(f"CORE_PICKER_THREADS must be an integer, not {value!r}") from None
     return min(requested, os.cpu_count() or 1)
 
 
@@ -127,7 +127,7 @@ def cmd_learn(args) -> int:
                    args.noise, args.max_epochs)
     alloc = " ".join(repr(float(v)) for v in r["allocation"])
     print(f"allocation: {alloc}")
-    row = (r["n"], r["delta"], r["perm_choice"], r["seed"], r["epochs"],
+    row = (args.n, args.delta, args.perms, args.seed, r["epochs"],
            r["samples"], r["stopped"], r["violation_max"])
     _write_csv(args.out, "n,delta,perm_choice,seed,epochs,samples,stopped,violation_max", [row])
     if r["stopped"] and not r["is_member"]:
@@ -205,8 +205,10 @@ def _validate(parser, args) -> None:
     """Range checks owned by the CLI; the domain types check everything else."""
     if args.seed < 0:  # numpy's SeedSequence would reject it without naming the option
         parser.error("--seed must be nonnegative")
-    if args.command in ("sweep", "cw") and not 1 <= args.trials <= MAX_TRIALS:
-        parser.error(f"--trials must be in 1..{MAX_TRIALS}")
+    if args.command in ("sweep", "cw"):
+        _worker_count()  # a bad CORE_PICKER_THREADS raises before any job is built
+        if not 1 <= args.trials <= MAX_TRIALS:
+            parser.error(f"--trials must be in 1..{MAX_TRIALS}")
     if args.command == "sweep" and not 2 <= args.n_min <= args.n_max <= 10:
         parser.error("need 2 <= n-min <= n-max <= 10")
     if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
@@ -225,10 +227,10 @@ def _validate(parser, args) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _validate(args.parser, args)  # errors print the usage of the chosen subcommand
-    try:
+    try:  # errors print the usage of the chosen subcommand
+        _validate(args.parser, args)
         return args.fn(args)
-    except ValueError as exc:  # a game, the oracle or the learner config rejected an argument
+    except ValueError as exc:  # a bad CORE_PICKER_THREADS, game, oracle or learner setting
         args.parser.error(str(exc))
 
 

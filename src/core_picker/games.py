@@ -120,8 +120,8 @@ class GameSpec:
 
     The table is the one 2^n array a trial holds (8 MiB at n = 20).  A
     read-only float64 array that owns its data is adopted as it is, which is
-    how the generators and :func:`load_game` hand over their fresh table;
-    anything else (a writeable array, a view, a list) is copied and frozen.
+    how the generators hand over their fresh table; anything else (a
+    writeable array, a view, a list) is copied and frozen.
     """
 
     n: int
@@ -163,27 +163,6 @@ def marginal_vector(game: GameSpec, w: Permutation) -> np.ndarray:
         phi[player] = cur - prev
         prev = cur
     return phi
-
-
-def strict_convexity_margin(game: GameSpec) -> float:
-    """Largest slack in the pairwise supermodularity inequalities.
-
-    Scans min over i != j and S avoiding both of
-    ``[mu(S+i+j) - mu(S+j)] - [mu(S+i) - mu(S)]``; a positive value certifies
-    strict convexity, zero plain convexity, negative a supermodularity
-    violation.  O(n^2 * 2^n).
-    """
-    n, mu = game.n, game.mu
-    masks = np.arange(1 << n)
-    best = np.inf
-    for i in range(n):
-        bi = 1 << i
-        for j in range(i + 1, n):
-            bj = 1 << j
-            base = masks[(masks & (bi | bj)) == 0]
-            diff = mu[base | bi | bj] - mu[base | bj] - mu[base | bi] + mu[base]
-            best = min(best, float(diff.min()))
-    return best
 
 
 def marginal_increments(n: int, seed, coeff: float = 0.9) -> np.ndarray:
@@ -244,49 +223,3 @@ def gen_permutahedron(n: int) -> GameSpec:
     k = np.arange(n + 1)  # int64: k (k + 1) overflows the uint8 sizes from n = 16
     g = k * (k + 1) / 2.0
     return _symmetric_game(sizes, g / g[-1])
-
-
-def save_game(game: GameSpec, path) -> None:
-    """Write the flat text format: header ``n=<n>``, then ``mask value`` lines."""
-    with open(path, "w") as fh:
-        fh.write(f"n={game.n}\n")
-        for mask, value in enumerate(game.mu):
-            fh.write(f"{mask} {value:.17g}\n")
-
-
-def load_game(path) -> GameSpec:
-    """Read a game written by :func:`save_game`; round-trips exactly.
-
-    The header's other fields, such as the ``noise=`` tag of older files, are
-    ignored.  Raises ValueError when the header has no integer ``n=``, naming
-    the line of an entry that is not an integer mask and a number, and naming
-    the mask when one is out of range, repeated or missing.
-    """
-    with open(path) as fh:
-        counts = [part[2:] for part in fh.readline().split() if part.startswith("n=")]
-        if not counts:
-            raise ValueError("game file header has no n=<players>")
-        try:
-            n = int(counts[0])
-        except ValueError:
-            raise ValueError(f"game file header has a bad n={counts[0]}") from None
-        _check_player_count(n)
-        mu = np.zeros(1 << n)
-        seen = np.zeros(1 << n, dtype=bool)
-        for k, line in enumerate(fh, start=2):
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"line {k}: expected '<mask> <value>'")
-            try:
-                mask, value = int(fields[0]), float(fields[1])
-            except ValueError as exc:
-                raise ValueError(f"line {k}: {exc}") from None
-            if not 0 <= mask < seen.size:
-                raise ValueError(f"mask {mask} out of range for n={n}")
-            if seen[mask]:
-                raise ValueError(f"mask {mask} appears twice")
-            seen[mask] = True
-            mu[mask] = value
-    if not seen.all():
-        raise ValueError(f"mask {int(np.argmin(seen))} is missing")
-    return GameSpec(n=n, mu=_frozen(mu))

@@ -30,6 +30,27 @@ def gen_weighted_game(n: int, seed) -> GameSpec:
     return GameSpec(n=n, mu=(weight / weight[-1]) ** 2)
 
 
+def strict_convexity_margin(game: GameSpec) -> float:
+    """Largest slack in the pairwise supermodularity inequalities.
+
+    Scans min over i != j and S avoiding both of
+    ``[mu(S+i+j) - mu(S+j)] - [mu(S+i) - mu(S)]``; a positive value certifies
+    strict convexity, zero plain convexity, negative a supermodularity
+    violation.  O(n^2 * 2^n).
+    """
+    n, mu = game.n, game.mu
+    masks = np.arange(1 << n)
+    best = np.inf
+    for i in range(n):
+        bi = 1 << i
+        for j in range(i + 1, n):
+            bj = 1 << j
+            base = masks[(masks & (bi | bj)) == 0]
+            diff = mu[base | bi | bj] - mu[base | bj] - mu[base | bi] + mu[base]
+            best = min(best, float(diff.min()))
+    return best
+
+
 def coordinate_matrix(points, i: int) -> np.ndarray:
     """Differences (x^j - x^i) as columns, j in original order with i omitted."""
     pts = np.asarray(points, dtype=np.float64)

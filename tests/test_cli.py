@@ -88,16 +88,17 @@ def test_sweep_csv_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_parallel_and_serial_agree(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["cw", "--n", "6", "--trials", "6", "--seed", "9"],
+    ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "2", "--seed", "9"],
+], ids=["cw", "sweep"])
+def test_sweep_parallel_and_serial_agree(tmp_path, monkeypatch, args):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["cw", "--n", "6", "--trials", "6", "--seed", "9"]
-    os.environ["CORE_PICKER_THREADS"] = "1"
-    try:
-        assert main(args + ["--out", str(a)]) == 0
-        os.environ["CORE_PICKER_THREADS"] = "3"
-        assert main(args + ["--out", str(b)]) == 0
-    finally:
-        del os.environ["CORE_PICKER_THREADS"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the second call starts a pool on any host
+    monkeypatch.setenv("CORE_PICKER_THREADS", "1")
+    assert main(args + ["--out", str(a)]) == 0
+    monkeypatch.setenv("CORE_PICKER_THREADS", "3")
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -199,6 +200,19 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
             assert "error: --out " in err
         assert not fresh.exists(), argv  # a usage error leaves no empty output file
         assert kept.read_text() == "earlier output\n", argv
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_bad_thread_count_is_named_before_any_worker_starts(capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "_parallel_map", lambda fn, jobs: pytest.fail("workers started"))
+    monkeypatch.setenv("CORE_PICKER_THREADS", value)
+    for argv in (["sweep", "--n-max", "2", "--trials", "1"], ["cw", "--n", "3", "--trials", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: core-picker {argv[0]} ")
+        assert f"error: CORE_PICKER_THREADS must be an integer, not {value!r}" in err
 
 
 def test_pool_jobs_start_with_the_largest_n(tmp_path, monkeypatch):

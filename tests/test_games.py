@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from support import strict_convexity_margin
+
 from core_picker.games import (
     GameSpec,
     Permutation,
@@ -11,12 +13,9 @@ from core_picker.games import (
     gen_permutahedron,
     gen_strictly_convex,
     gen_unit_game,
-    load_game,
     marginal_increments,
     marginal_vector,
     prefix_coalitions,
-    save_game,
-    strict_convexity_margin,
 )
 
 
@@ -45,7 +44,7 @@ def test_gamespec_validation():
         GameSpec(n=2, mu=np.zeros(5))  # wrong table length
 
 
-def test_gamespec_copies_writeable_input_and_adopts_frozen_tables(tmp_path):
+def test_gamespec_copies_writeable_input_and_adopts_frozen_tables():
     values = np.array([0.0, 0.2, 0.3, 1.0])
     game = GameSpec(n=2, mu=values)
     values[1] = 0.9  # the caller's array is not the game's
@@ -61,10 +60,8 @@ def test_gamespec_copies_writeable_input_and_adopts_frozen_tables(tmp_path):
     single.flags.writeable = False
     assert GameSpec(n=2, mu=single).mu.dtype == np.float64
     assert GameSpec(n=2, mu=[0.0, 0.2, 0.3, 1.0]).mu.tolist() == [0.0, 0.2, 0.3, 1.0]
-    path = tmp_path / "g.txt"
-    save_game(gen_strictly_convex(4, 11), path)
     for generated in (gen_strictly_convex(4, 0), gen_convex_boundary(4, 0), gen_unit_game(4),
-                      gen_permutahedron(4), load_game(path)):
+                      gen_permutahedron(4)):
         assert GameSpec(n=4, mu=generated.mu).mu is generated.mu  # handed over frozen
 
 
@@ -275,73 +272,6 @@ def test_noise_free_increments_recover_triangular_numbers():
     assert np.allclose(inc, np.arange(1, 6) / g_n, atol=1e-15)
     # zero-noise variant coincides with the permutahedron table
     assert np.allclose(np.cumsum(inc), gen_permutahedron(5).mu[[1, 3, 7, 15, 31]], atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(2, 5).flatmap(
-        lambda n: st.lists(
-            st.floats(0.0, 1.0, allow_nan=False), min_size=(1 << n) - 1, max_size=(1 << n) - 1
-        )
-    )
-)
-def test_save_load_roundtrip_exact(values):
-    import tempfile
-
-    mu = np.array([0.0] + values)
-    n = mu.size.bit_length() - 1
-    game = GameSpec(n=n, mu=mu)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/game.txt"
-        save_game(game, path)
-        back = load_game(path)
-    assert back.n == game.n
-    assert np.array_equal(back.mu, game.mu)
-
-
-def test_save_load_simple(tmp_path):
-    game = gen_strictly_convex(4, 11)
-    path = tmp_path / "g.txt"
-    save_game(game, path)
-    back = load_game(path)
-    assert np.array_equal(back.mu, game.mu)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:3] + lines[4:], "mask 2 is missing"),
-    (lambda lines: lines + [lines[2]], "mask 1 appears twice"),
-    (lambda lines: lines[:3] + [lines[2]] + lines[4:], "mask 1 appears twice"),
-    (lambda lines: lines + ["16 0.5"], "mask 16 out of range"),
-    (lambda lines: ["players=4"] + lines[1:], "header has no n="),
-    (lambda lines: [""] + lines[1:], "header has no n="),
-    (lambda lines: [], "header has no n="),
-    (lambda lines: lines + [""], "line 18: expected '<mask> <value>'"),
-    (lambda lines: lines[:3] + [lines[3] + " 0.5"] + lines[4:], "line 4: expected"),
-    (lambda lines: lines[:3] + ["x2 0.5"] + lines[4:], "line 4: invalid literal for int"),
-    (lambda lines: lines[:5] + ["4 half"] + lines[6:], "line 6: could not convert"),
-    (lambda lines: ["n=abc"] + lines[1:], "header has a bad n=abc"),
-])
-def test_load_rejects_malformed_files(tmp_path, edit, message):
-    path = tmp_path / "g.txt"
-    save_game(gen_strictly_convex(4, 11), path)
-    lines = path.read_text().splitlines()  # header, then masks 0..15 in order
-    path.write_text("".join(line + "\n" for line in edit(lines)))
-    with pytest.raises(ValueError, match=message):
-        load_game(path)
-
-
-def test_load_ignores_other_header_fields(tmp_path):
-    game = gen_strictly_convex(4, 11)
-    path = tmp_path / "g.txt"
-    save_game(game, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n=4"
-    path.write_text("\n".join(["n=4 noise=bernoulli", *lines[1:]]) + "\n")  # older header
-    assert np.array_equal(load_game(path).mu, game.mu)
 
 
 def test_adjacent_permutations_shape():

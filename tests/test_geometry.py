@@ -12,6 +12,7 @@ from support import (
     random_box_corner,
     random_box_point,
     simplex_altitudes,
+    strict_convexity_margin,
     sum_zero,
 )
 
@@ -23,7 +24,6 @@ from core_picker.games import (
     gen_permutahedron,
     gen_strictly_convex,
     marginal_vector,
-    strict_convexity_margin,
 )
 from core_picker.geometry import (
     ConfidenceBox,
