@@ -28,7 +28,7 @@ from .games import (
     marginal_increments,
 )
 from .geometry import MEMBERSHIP_TOL, simplex_width
-from .learner import DEFAULT_MAX_EPOCHS, LearnerConfig, common_points_picking
+from .learner import DEFAULT_MAX_EPOCHS, PERMUTATIONS, LearnerConfig, common_points_picking
 from .oracle import NOISE_MODELS, RewardOracle
 from .verify import core_membership
 
@@ -166,15 +166,10 @@ def _build_parser() -> argparse.ArgumentParser:
     learn = sub.add_parser("learn", help="one learner run plus core verification")
     learn.add_argument("--n", type=int, required=True)
     learn.add_argument("--gen", choices=sorted(GENERATORS), default="strict")
-    learn.add_argument("--perms", choices=["adjacent", "cyclic"], default="adjacent")
-    learn.add_argument("--delta", type=float, default=0.1)
-    learn.add_argument("--seed", type=int, default=0)
     learn.add_argument("--noise", choices=NOISE_MODELS, default="bernoulli",
                        help="reward model: bernoulli, or none for rewards equal "
                             "to their means")
-    learn.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
-    learn.add_argument("--out", default=None, help="CSV path (default stdout)")
-    learn.set_defaults(fn=cmd_learn, parser=learn)
+    learn.set_defaults(fn=cmd_learn)
 
     sweep = sub.add_parser("sweep", help="sample counts across player counts")
     sweep.add_argument("--n-min", type=int, default=2)
@@ -182,12 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=20,
                        help=f"trials per player count, in 1..{MAX_TRIALS}")
     sweep.add_argument("--gen", choices=["strict", "convex"], default="strict")
-    sweep.add_argument("--perms", choices=["adjacent", "cyclic"], default="adjacent")
-    sweep.add_argument("--delta", type=float, default=0.1)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
-    sweep.add_argument("--out", default=None)
-    sweep.set_defaults(fn=cmd_sweep, parser=sweep)
+    sweep.set_defaults(fn=cmd_sweep)
 
     cw = sub.add_parser("cw", help="width constant of cyclic-vertex simplices")
     cw.add_argument("--n", type=int, nargs="+", default=[10, 50],
@@ -195,9 +185,16 @@ def _build_parser() -> argparse.ArgumentParser:
                          "runs n SVDs of an n x (n-1) matrix, so its cost grows as n^4")
     cw.add_argument("--trials", type=int, default=500,
                     help=f"trials per player count, in 1..{MAX_TRIALS}")
-    cw.add_argument("--seed", type=int, default=0)
-    cw.add_argument("--out", default=None)
-    cw.set_defaults(fn=cmd_cw, parser=cw)
+    cw.set_defaults(fn=cmd_cw)
+
+    for command in (learn, sweep):
+        command.add_argument("--perms", choices=sorted(PERMUTATIONS), default="adjacent")
+        command.add_argument("--delta", type=float, default=0.1)
+        command.add_argument("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
+    for command in (learn, sweep, cw):
+        command.add_argument("--seed", type=int, default=0)
+        command.add_argument("--out", default=None, help="CSV path (default stdout)")
+        command.set_defaults(parser=command)
     return parser
 
 

@@ -23,19 +23,30 @@ def _check_player_count(n: int) -> None:
         raise ValueError(f"player count {n} outside 2..{MAX_PLAYERS}")
 
 
+def subset_sums(values, dtype=np.float64) -> np.ndarray:
+    """The sum of ``values[p]`` over the set bits p of every mask
+    0..2**len(values)-1.
+
+    Filled in place by doubling: the sums of the masks with bit p set are
+    those below 2**p plus ``values[p]``, so each sum adds its terms in
+    ascending order of p.
+    """
+    sums = np.empty(1 << len(values), dtype=dtype)
+    sums[0] = 0
+    for p, value in enumerate(values):
+        h = 1 << p
+        np.add(sums[:h], value, out=sums[h:2 * h])
+    return sums
+
+
 def coalition_sizes(n: int) -> np.ndarray:
     """Popcount of every mask 0..2**n-1 as ``uint8`` (1 MiB at n = 20).
 
-    Filled in place by doubling: the masks with bit p set are those below
-    2**p plus one.  Checks n first so that generators reject a player count
-    before allocating its table.
+    Checks n first so that generators reject a player count before
+    allocating its table.
     """
     _check_player_count(n)
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    for p in range(n):
-        h = 1 << p
-        np.add(sizes[:h], 1, out=sizes[h:2 * h])
-    return sizes
+    return subset_sums([1] * n, np.uint8)
 
 
 @dataclass(frozen=True)
@@ -154,15 +165,8 @@ def marginal_vector(game: GameSpec, w: Permutation) -> np.ndarray:
     """
     if w.n != game.n:
         raise ValueError("permutation size does not match the game")
-    phi = np.empty(game.n)
-    prev = 0.0
-    mask = 0
-    for player in w.arrival_order():
-        mask |= 1 << player
-        cur = float(game.mu[mask])
-        phi[player] = cur - prev
-        prev = cur
-    return phi
+    by_arrival = np.diff(game.mu[prefix_coalitions(w)], prepend=0.0)
+    return by_arrival[list(w.ranks)]
 
 
 def marginal_increments(n: int, seed, coeff: float = 0.9) -> np.ndarray:
@@ -210,7 +214,7 @@ def gen_convex_boundary(n: int, seed) -> GameSpec:
 
 def gen_unit_game(n: int) -> GameSpec:
     """mu(S) = |S| / n: convex but not strictly, one-point core at (1/n) 1."""
-    return GameSpec(n=n, mu=_frozen(coalition_sizes(n) / n))
+    return _symmetric_game(coalition_sizes(n), np.arange(n + 1) / n)
 
 
 def gen_permutahedron(n: int) -> GameSpec:

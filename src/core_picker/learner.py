@@ -23,13 +23,11 @@ epoch, so the random stream, the sample count and the report are exactly
 those of checking epoch by epoch.  The price is the advances past the first
 passing epoch and their replay, at most one window's worth, once per run.
 
-Early windows are skipped undecided.  An estimate's by-rank means lie in
-[-1, 1], so no altitude exceeds 2 sqrt(n), and a vertex clears its hyperplane
-only if the bonus is at most ``stop_bonus_ceiling(n)`` = 2 sqrt(n) /
-(2 sqrt(n) (n+1) + sqrt(2)) (derived there).  The bonus falls with the epoch
+Early windows are skipped undecided.  No check passes while the bonus exceeds
+``stop_bonus_ceiling(n)`` (derived there), and the bonus falls with the epoch
 from epoch 2 on, so a window whose last check still has a larger bonus (by a
-relative 1e-9, for rounding) cannot stop.  Such a window draws exactly as a
-decided one, through the same advances, but saves no state, builds no stack
+relative 1e-9, for rounding) cannot stop.  Such a window draws through the
+same loop as a decided one and stops before the estimates: it computes none
 and makes no stopping test.  The window ending at the epoch cap is always
 decided, since the report needs its estimates.
 
@@ -70,25 +68,26 @@ def confidence_bonus(ep: int, n: int, delta: float) -> float:
     return math.sqrt(2.0 * math.log(n * ep / delta) / ep)
 
 
-def resolve_permutations(choice: str, n: int) -> list[Permutation]:
-    """The n arrival orders of a permutation choice.
+PERMUTATIONS = {  # the n arrival orders of each permutation choice
+    "adjacent": lambda n: adjacent_permutations(Permutation.identity(n)),  # identity + swaps
+    "cyclic": cyclic_permutations,  # the n rotations
+}
 
-    "adjacent" is the identity plus its n-1 adjacent-transposition
-    neighbours; "cyclic" the n rotations.
-    """
-    if choice == "adjacent":
-        return adjacent_permutations(Permutation.identity(n))
-    if choice == "cyclic":
-        return cyclic_permutations(n)
-    raise ValueError(f"unknown permutation choice {choice!r}; use adjacent or cyclic")
+
+def resolve_permutations(choice: str, n: int) -> list[Permutation]:
+    """The n arrival orders of a permutation choice in :data:`PERMUTATIONS`."""
+    build = PERMUTATIONS.get(choice) if isinstance(choice, str) else None
+    if build is None:
+        raise ValueError(f"unknown permutation choice {choice!r}; use {' or '.join(PERMUTATIONS)}")
+    return build(n)
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     """Settings of one run.
 
-    ``perm_choice`` is "adjacent" or "cyclic" (:func:`resolve_permutations`);
-    ``max_epochs`` is at most 2**63 - 1, numpy's largest binomial count.
+    ``perm_choice`` is a key of :data:`PERMUTATIONS`; ``max_epochs`` is at
+    most 2**63 - 1, numpy's largest binomial count.
     """
 
     delta: float
@@ -100,6 +99,7 @@ class LearnerConfig:
             raise ValueError("delta must lie strictly between 0 and 1")
         if not 1 <= self.max_epochs <= 2**63 - 1:
             raise ValueError("max_epochs must lie in 1..2**63 - 1")
+        resolve_permutations(self.perm_choice, 2)  # rejects an unknown choice
 
 
 def run_epochs(totals: np.ndarray, oracle: RewardOracle, chains, k: int) -> None:
@@ -221,18 +221,15 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     epoch = 0
     while epoch < config.max_epochs:
         window = check_window(epoch, config.max_epochs)
-        last = window[-1]  # the window's smallest bonus
-        if last < config.max_epochs and confidence_bonus(last, n, config.delta) > ceiling:
-            for target in window:  # no check here can pass: draw as a decided window would
-                run_epochs(totals, oracle, chains, target - epoch)
-                epoch = target
-            continue
         start, saved = epoch, oracle.state
         stack = np.empty((len(window), n, n))
         for i, target in enumerate(window):
             run_epochs(totals, oracle, chains, target - epoch)
             epoch = target
             stack[i] = totals
+        # the last check has the window's smallest bonus; above the ceiling none can pass
+        if epoch < config.max_epochs and confidence_bonus(epoch, n, config.delta) > ceiling:
+            continue
         estimates = vertex_estimates(stack, window, index, oracle.game.mu_grand)
         bonuses = [confidence_bonus(t, n, config.delta) for t in window]
         passed = stopping_condition(estimates, bonuses)

@@ -10,21 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec
+from .games import GameSpec, subset_sums
 
 _SCAN_BITS = 16  # 2^16 coalitions per membership block: 512 KiB of doubles
-
-
-def allocation_sums(x, n: int) -> np.ndarray:
-    """x(S) for every coalition mask of players 0..n-1, built by doubling in
-    place: the sums of the masks holding player p are those below 2**p plus
-    x[p], so each x(S) adds its players' shares in ascending order."""
-    sums = np.empty(1 << n)
-    sums[0] = 0.0
-    for p in range(n):
-        h = 1 << p
-        np.add(sums[:h], x[p], out=sums[h:2 * h])
-    return sums
 
 
 @dataclass(frozen=True)
@@ -46,13 +34,13 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     The scan holds no 2^n array besides the game's own table.  It runs over
     blocks of 2^16 masks that share their high bits: a block starts from the
     sums of the low players and adds each high player present in ascending
-    order, which is the order of :func:`allocation_sums`, so every x(S) and
+    order, which is the order of :func:`subset_sums`, so every x(S) and
     the report are bit-identical to subtracting one full table of sums.
     """
     x = np.asarray(x, dtype=np.float64)
     n, mu = game.n, game.mu
     low = min(n, _SCAN_BITS)
-    low_sums = allocation_sums(x, low)
+    low_sums = subset_sums(x[:low])
     size = low_sums.size
     blocks = 1 << (n - low)
     slack = np.empty(size)

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import strict_convexity_margin
+from support import gen_weighted_game, strict_convexity_margin
 
 from core_picker.games import (
     GameSpec,
     Permutation,
     adjacent_permutations,
+    coalition_sizes,
     cyclic_permutations,
     gen_convex_boundary,
     gen_permutahedron,
@@ -16,6 +19,7 @@ from core_picker.games import (
     marginal_increments,
     marginal_vector,
     prefix_coalitions,
+    subset_sums,
 )
 
 
@@ -87,6 +91,36 @@ def test_generators_match_int64_popcount_formulas(n):
 def test_generators_reject_player_counts_out_of_range(generate, n):
     with pytest.raises(ValueError, match=f"player count {n} outside"):
         generate(n)
+
+
+# ---------------------------------------------------------------------------
+# subset sums
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subset_sums_of_ones_are_popcounts(n):
+    sizes = subset_sums([1] * n, np.uint8)
+    assert sizes.dtype == np.uint8
+    assert sizes.tolist() == [bin(mask).count("1") for mask in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", [1, 5, 11])
+def test_subset_sums_add_each_mask_in_ascending_order(n):
+    x = np.random.default_rng(n).random(n)
+    expected = []
+    for mask in range(1 << n):
+        total = 0.0
+        for p in range(n):
+            if mask >> p & 1:
+                total += x[p]
+        expected.append(total)
+    assert subset_sums(x).tolist() == expected  # exact: the same additions in the same order
+
+
+def test_coalition_sizes_stay_one_byte_per_mask():
+    sizes = coalition_sizes(20)
+    assert sizes.dtype == np.uint8 and sizes.nbytes == 1 << 20
+    assert sizes[-1] == 20
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +223,29 @@ def test_marginal_vector_telescopes_to_grand_reward(seed, n_and_w):
     n, w = n_and_w
     game = gen_strictly_convex(n, seed)
     assert abs(marginal_vector(game, w).sum() - game.mu_grand) < 1e-12
+
+
+def marginal_vector_by_loop(game, w):
+    """Reference: walk the arrival order, each entry one table difference."""
+    phi = np.empty(game.n)
+    prev = 0.0
+    mask = 0
+    for player in w.arrival_order():
+        mask |= 1 << player
+        cur = float(game.mu[mask])
+        phi[player] = cur - prev
+        prev = cur
+    return phi
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_marginal_vector_is_bit_identical_to_the_loop(n):
+    # the weighted game is asymmetric, so a vector scattered to the wrong players differs;
+    # all n! orders cover every adjacent and cyclic permutation
+    game = gen_weighted_game(n, n)
+    for ranks in itertools.permutations(range(n)):
+        w = Permutation(ranks)
+        assert marginal_vector(game, w).tobytes() == marginal_vector_by_loop(game, w).tobytes()
 
 
 def test_adjacent_marginal_vectors_differ_in_two_coordinates():

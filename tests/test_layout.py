@@ -1,5 +1,6 @@
 """``src/`` holds only what the program, the benchmark or the acceptance suite
-reaches: a public name that only unit tests use belongs in ``tests/support.py``."""
+reaches: a public name that only unit tests use belongs in ``tests/support.py``,
+and a private name that nothing else in ``src/`` reads is dead."""
 
 import ast
 from pathlib import Path
@@ -28,20 +29,30 @@ def defined_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def unused_in_src(wanted):
+    """``file:name`` of each top-level name of ``src/core_picker/*.py`` that
+    ``wanted(path, name)`` selects and no other top-level node of ``src/`` reads."""
+    top = [(path, node) for path in sorted((ROOT / "src" / "core_picker").glob("*.py"))
+           for node in ast.parse(path.read_text()).body]
+    uses = [used_names(node) for _, node in top]
+    return [f"{path.name}:{name}"
+            for i, (path, node) in enumerate(top) for name in defined_names(node)
+            if wanted(path, name) and not any(name in u for j, u in enumerate(uses) if j != i)]
+
+
 def test_every_public_name_in_src_is_reached():
     reached = set()
     for path in (ROOT / "perfbench").glob("*.py"):
         reached |= used_names(ast.parse(path.read_text()), strings=True)
     for path in [*(ROOT / "scripts").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
         reached |= used_names(ast.parse(path.read_text()))
-    top = [(path, node) for path in sorted((ROOT / "src" / "core_picker").glob("*.py"))
-           for node in ast.parse(path.read_text()).body]
-    uses = [used_names(node) for _, node in top]
-    dead = []
-    for i, (path, node) in enumerate(top):
-        for name in defined_names(node):
-            if path.name == "__init__.py" or name.startswith("_") or name in reached:
-                continue
-            if not any(name in u for j, u in enumerate(uses) if j != i):
-                dead.append(f"{path.name}:{name}")
-    assert dead == []
+
+    def unreached(path, name):
+        return path.name != "__init__.py" and not name.startswith("_") and name not in reached
+
+    assert unused_in_src(unreached) == []
+
+
+def test_every_private_name_in_src_is_used_in_src():
+    # a private helper that a merge left behind is dead code, whatever the tests call
+    assert unused_in_src(lambda path, name: name.startswith("_")) == []

@@ -73,6 +73,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="max_epochs"):
         LearnerConfig(delta=0.1, max_epochs=2**63)  # above numpy's largest binomial count
     LearnerConfig(delta=0.1, max_epochs=2**63 - 1)
+    with pytest.raises(ValueError, match="unknown permutation choice 'bogus'"):
+        LearnerConfig(delta=0.1, perm_choice="bogus")  # rejected when built, not in the run
     assert RewardOracle(gen_unit_game(3), 0).query_sum(1, 2**63 - 1) > 0  # the cap still draws
 
 
@@ -346,18 +348,24 @@ def test_windows_that_cannot_stop_skip_the_stopping_test(monkeypatch):
     while confidence_bonus(last, n, 0.1) > ceiling:
         epoch, last = last, check_window(last, config.max_epochs)[-1]
     assert epoch == 245  # the last skipped window is the one in (128, 256]
-    seen = []
+    seen, estimated = [], []
 
     def counted(estimates, bonuses):
         seen.append(list(bonuses))
         return stopping_condition(estimates, bonuses)
 
+    def counted_estimates(totals, epochs, index, mu_grand):
+        estimated.append(list(epochs))
+        return vertex_estimates(totals, epochs, index, mu_grand)
+
     monkeypatch.setattr(learner, "stopping_condition", counted)
+    monkeypatch.setattr(learner, "vertex_estimates", counted_estimates)
     game = gen_strictly_convex(n, 3)
     report = common_points_picking(RewardOracle(game, seed=4), config)
     assert report.stopped_naturally and report.epochs > 245
-    first = [confidence_bonus(t, n, 0.1) for t in check_window(245, config.max_epochs)]
-    assert seen[0] == first
+    window = check_window(245, config.max_epochs)
+    assert seen[0] == [confidence_bonus(t, n, 0.1) for t in window]
+    assert estimated[0] == window  # skipped windows compute no estimates either
 
 
 def one_check_per_epoch(oracle, config):

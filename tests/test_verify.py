@@ -12,10 +12,11 @@ from core_picker.games import (
     gen_strictly_convex,
     gen_unit_game,
     marginal_vector,
+    subset_sums,
 )
 from core_picker import verify
 from core_picker.geometry import in_simplex
-from core_picker.verify import allocation_sums, core_membership
+from core_picker.verify import core_membership
 
 
 def marginal_vectors(game):
@@ -26,7 +27,7 @@ def marginal_vectors(game):
 
 def test_allocation_sums_doubling():
     x = np.array([0.25, 0.5, 0.125])
-    sums = allocation_sums(x, 3)
+    sums = subset_sums(x)
     assert sums[0b000] == 0.0
     assert sums[0b101] == pytest.approx(0.375, abs=1e-15)
     assert sums[0b111] == pytest.approx(0.875, abs=1e-15)
@@ -34,7 +35,7 @@ def test_allocation_sums_doubling():
 
 def full_table_report(game, x):
     """The unblocked scan: one table of sums from the doubling, then mu - sums."""
-    sums = allocation_sums(x, game.n)
+    sums = subset_sums(x)
     slack = game.mu - sums
     slack[0] = slack[-1] = -np.inf
     worst = int(np.argmax(slack))
