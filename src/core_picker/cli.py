@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .games import (
+    MAX_PLAYERS,
     gen_convex_boundary,
     gen_permutahedron,
     gen_strictly_convex,
@@ -206,6 +207,8 @@ def _validate(parser, args) -> None:
         _worker_count()  # a bad CORE_PICKER_THREADS raises before any job is built
         if not 1 <= args.trials <= MAX_TRIALS:
             parser.error(f"--trials must be in 1..{MAX_TRIALS}")
+    if args.command == "learn" and not 2 <= args.n <= MAX_PLAYERS:
+        parser.error(f"--n must be in 2..{MAX_PLAYERS}")  # before trial_streams sees it
     if args.command == "sweep" and not 2 <= args.n_min <= args.n_max <= 10:
         parser.error("need 2 <= n-min <= n-max <= 10")
     if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PLAYERS = 20  # 2**20 table entries keeps exhaustive scans at desk scale
-_GATHER_BLOCK = 1 << 16  # masks per table-gather block: a 512 KiB intp index
 
 Coalition = int
 
@@ -111,8 +110,6 @@ def cyclic_permutations(n: int) -> list[Permutation]:
 
     Rotation 0 is the identity.
     """
-    if n < 2:
-        raise ValueError("need at least two players")
     return [Permutation(tuple((p + k) % n for p in range(n))) for k in range(n)]
 
 
@@ -185,31 +182,27 @@ def marginal_increments(n: int, seed, coeff: float = 0.9) -> np.ndarray:
 
 def _symmetric_game(sizes: np.ndarray, values: np.ndarray) -> GameSpec:
     """The game whose coalitions of size k, counted by ``sizes`` (see
-    :func:`coalition_sizes`), all have reward ``values[k]``.  Gathered in
-    blocks, because indexing with all of ``sizes`` at once would first cast
-    it to an 8 MiB intp copy."""
-    mu = np.empty(sizes.size)
-    for start in range(0, sizes.size, _GATHER_BLOCK):
-        stop = start + _GATHER_BLOCK
-        np.take(values, sizes[start:stop], out=mu[start:stop])
-    return GameSpec(n=len(values) - 1, mu=_frozen(mu))
+    :func:`coalition_sizes`), all have reward ``values[k]``.  One gather:
+    fancy indexing casts the ``uint8`` sizes to intp in buffered chunks, so
+    unlike ``np.take`` it makes no full-size index copy."""
+    return GameSpec(n=len(values) - 1, mu=_frozen(values[sizes]))
 
 
-def _table_from_increments(increments: np.ndarray) -> GameSpec:
-    sizes = coalition_sizes(len(increments))
-    values = np.concatenate([[0.0], np.cumsum(increments)])
+def _increment_game(n: int, seed, coeff: float) -> GameSpec:
+    sizes = coalition_sizes(n)  # checks n before marginal_increments sizes an array by it
+    values = np.concatenate([[0.0], np.cumsum(marginal_increments(n, seed, coeff))])
     values[-1] = 1.0  # guard cumsum rounding at the grand coalition
     return _symmetric_game(sizes, values)
 
 
 def gen_strictly_convex(n: int, seed) -> GameSpec:
     """Random strictly convex game with noise amplitude 0.9 on the increments."""
-    return _table_from_increments(marginal_increments(n, seed, coeff=0.9))
+    return _increment_game(n, seed, coeff=0.9)
 
 
 def gen_convex_boundary(n: int, seed) -> GameSpec:
     """Random game on the convexity boundary: amplitude 1.0, margin can reach 0."""
-    return _table_from_increments(marginal_increments(n, seed, coeff=1.0))
+    return _increment_game(n, seed, coeff=1.0)
 
 
 def gen_unit_game(n: int) -> GameSpec:

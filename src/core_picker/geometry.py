@@ -160,13 +160,13 @@ def mean_point(points) -> np.ndarray:
     return np.mean(np.asarray(points, dtype=np.float64), axis=0)
 
 
-def in_simplex(x, vertices, slack: float = MEMBERSHIP_TOL) -> bool:
+def in_simplex(x, vertices) -> bool:
     """Whether x lies in the simplex spanned by n affinely independent vertices.
 
     Solves for affine weights summing to one and accepts iff every weight is
-    at least -slack.  Points off the affine hull of the vertices are outside.
-    Raises DegenerateSimplexError when the weight system [V^T; 1] has a
-    singular value at most RANK_TOL, as computed by its least-squares solve.
+    at least -MEMBERSHIP_TOL.  Points off the affine hull of the vertices are
+    outside.  Raises DegenerateSimplexError when the weight system [V^T; 1]
+    has a singular value at most RANK_TOL, as computed by its least-squares solve.
     The smallest one is at most ``simplex_width``: for any of its coordinate
     matrices D and any unit vector u, weighting the reference vertex -sum(u)
     and the others u gives w with ||w|| >= 1 and ||[V^T; 1] w|| = ||D u||.
@@ -184,4 +184,4 @@ def in_simplex(x, vertices, slack: float = MEMBERSHIP_TOL) -> bool:
     scale = 1.0 + np.abs(rhs).max()
     if residual > 1e-8 * scale:
         return False  # x is off the affine hull of the vertices
-    return bool(np.all(weights >= -slack))
+    return bool(np.all(weights >= -MEMBERSHIP_TOL))

@@ -62,9 +62,13 @@ CHECK_GROWTH = 1.05     # then space checks geometrically
 
 
 def confidence_bonus(ep: int, n: int, delta: float) -> float:
-    """Per-coordinate confidence radius sqrt(2 log(n ep / delta) / ep)."""
-    if ep < 1:
-        raise ValueError("epoch must be at least 1")
+    """Per-coordinate confidence radius b = sqrt(2 log(n ep / delta) / ep).
+
+    Hoeffding at b/2 gives each prefix mean a failure chance of 2 delta/(n ep)
+    per check, so the union over the n^2 prefix means gives 2 n delta/ep; on
+    that event each telescoped coordinate lies within b.  The projection onto
+    mu(N) can add up to b/(2n), and summed over the scheduled checks the
+    failure chance exceeds delta.  ROADMAP item 5 closes that gap."""
     return math.sqrt(2.0 * math.log(n * ep / delta) / ep)
 
 
@@ -197,12 +201,18 @@ def check_window(epoch: int, max_epochs: int) -> list[int]:
 
 @dataclass(frozen=True)
 class RunReport:
-    allocation: np.ndarray
-    epochs: int
-    samples: int
-    stopped_naturally: bool
     estimates: np.ndarray  # (n, n): final vertex estimates, one row per permutation
+    epochs: int
     bonus: float  # confidence radius at the final epoch
+    stopped_naturally: bool
+
+    @property
+    def allocation(self) -> np.ndarray:
+        return mean_point(self.estimates)
+
+    @property
+    def samples(self) -> int:
+        return self.epochs * len(self.estimates) ** 2
 
 
 def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunReport:
@@ -240,17 +250,5 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
             for target in window[:first + 1]:
                 run_epochs(replay, oracle, chains, target - start)
                 start = target
-            return _report(estimates[first], window[first], bonuses[first], stopped=True)
-    return _report(estimates[-1], epoch, bonuses[-1], stopped=False)
-
-
-def _report(estimates: np.ndarray, epoch: int, bonus: float, stopped: bool) -> RunReport:
-    n = len(estimates)
-    return RunReport(
-        allocation=mean_point(estimates),
-        epochs=epoch,
-        samples=epoch * n * n,
-        stopped_naturally=stopped,
-        estimates=estimates,
-        bonus=bonus,
-    )
+            return RunReport(estimates[first], window[first], bonuses[first], True)
+    return RunReport(estimates[-1], epoch, bonuses[-1], False)

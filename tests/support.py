@@ -91,10 +91,17 @@ def random_box_point(rng, box: ConfidenceBox) -> np.ndarray:
     return box.center + shift
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def random_box_corner(rng, box: ConfidenceBox) -> np.ndarray:
     """Near-extreme point of the box inside the sum plane (sign-vector corner,
-    recentred and rescaled to stay inside)."""
-    shift = sum_zero(box.radius * rng.choice([-1.0, 1.0], size=len(box.center)))
+    recentred and rescaled to stay inside).
+
+    The signs are ``_SIGNS[rng.integers(0, 2, size=n)]``: the same values and
+    bit-generator state as ``rng.choice([-1.0, 1.0], size=n)``, at less cost.
+    """
+    shift = sum_zero(box.radius * _SIGNS[rng.integers(0, 2, size=len(box.center))])
     peak = np.abs(shift).max()
     if peak > box.radius:
         shift *= box.radius / peak

@@ -162,6 +162,7 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         ["learn", "--n", "3", "--delta", "1.5"],
         ["cw", "--n", "1"],
         ["learn", "--n", "21"],
+        ["learn", "--n", "-1"],
         ["learn", "--n", "3", "--noise", "uniform:0"],
         ["learn", "--n", "3", "--noise", "uniform:0.1"],
         ["learn", "--n", "3", "--noise", "uniform:nan"],
@@ -180,10 +181,10 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         ["learn", "--n", "3", "--out", missing],
         ["sweep", "--n-max", "2", "--trials", "1", "--out", missing],
         ["cw", "--n", "10", "--trials", "1", "--out", str(tmp_path)],
-        # writable --out paths, rejected by the game or the learner config after the probe
-        ["learn", "--n", "30", "--out", str(fresh)],
+        # writable --out paths, rejected by the learner config after the probe
+        ["learn", "--n", "3", "--delta", "2", "--out", str(fresh)],
         ["sweep", "--n-max", "2", "--trials", "1", "--delta", "2", "--out", str(fresh)],
-        ["learn", "--n", "30", "--out", str(kept)],
+        ["learn", "--n", "3", "--delta", "2", "--out", str(kept)],
         ["sweep", "--n-max", "2", "--trials", "1", "--delta", "2", "--out", str(kept)],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -194,6 +195,8 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         assert "error: " in err
         if "--seed" in argv:
             assert "error: --seed must be nonnegative" in err
+        if argv[0] == "learn" and argv[2] in ("1", "21", "-1"):
+            assert "error: --n must be in 2..20" in err
         if argv[:4] == ["cw", "--n", "10", "10"]:
             assert "error: --n entries must be distinct" in err
         if "--out" in argv and argv[-1] not in (str(fresh), str(kept)):

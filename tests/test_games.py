@@ -87,7 +87,7 @@ def test_generators_match_int64_popcount_formulas(n):
     gen_unit_game,
     gen_permutahedron,
 ], ids=["strict", "convex", "unit", "permutahedron"])
-@pytest.mark.parametrize("n", [1, 21])
+@pytest.mark.parametrize("n", [-1, 1, 21])
 def test_generators_reject_player_counts_out_of_range(generate, n):
     with pytest.raises(ValueError, match=f"player count {n} outside"):
         generate(n)

@@ -400,6 +400,21 @@ def test_common_point_follows_from_clearance_condition():
             assert in_simplex(x_star, corners)
 
 
+@pytest.mark.parametrize("n", [3, 5, 8, 20])
+def test_box_corners_match_the_generator_choice_draw(n):
+    # random_box_corner's sign draw reproduces rng.choice([-1.0, 1.0]), so the
+    # corner sets of the acceptance suite are those of the choice-based helper
+    box = ConfidenceBox(np.linspace(-1.0, 2.0, n), 0.25)
+    fast, reference = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(1000):
+        shift = sum_zero(box.radius * reference.choice([-1.0, 1.0], size=n))
+        peak = np.abs(shift).max()
+        if peak > box.radius:
+            shift *= box.radius / peak
+        assert random_box_corner(fast, box).tobytes() == (box.center + shift).tobytes()
+    assert fast.bit_generator.state == reference.bit_generator.state
+
+
 def test_no_common_point_when_hyperplane_pierces_all_boxes():
     # collinear centers: a single line meets every box, and some corner
     # selection excludes the candidate common point

@@ -1,6 +1,7 @@
 """``src/`` holds only what the program, the benchmark or the acceptance suite
 reaches: a public name that only unit tests use belongs in ``tests/support.py``,
-and a private name that nothing else in ``src/`` reads is dead."""
+a private name that nothing else in ``src/`` reads is dead, and a defaulted
+parameter that no call passes is a knob nobody turns."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,40 @@ def test_every_public_name_in_src_is_reached():
 def test_every_private_name_in_src_is_used_in_src():
     # a private helper that a merge left behind is dead code, whatever the tests call
     assert unused_in_src(lambda path, name: name.startswith("_")) == []
+
+
+def defaulted_params(fn):
+    """(name, position or None if keyword-only) of each defaulted parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    keyword_only = zip(args.kwonlyargs, args.kw_defaults)
+    return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, default in keyword_only if default is not None])
+
+
+def passes(call, name, position):
+    """Whether a call gives the parameter by position, by keyword, or
+    through ``*args`` or ``**kwargs``."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and position < len(call.args):
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_defaulted_parameter_in_src_is_passed():
+    # a default that no call overrides is a constant dressed as a knob
+    calls = {}
+    for top in ("src", "tests", "perfbench", "scripts"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    unturned = [f"{path.name}:{fn.name}({param})"
+                for path in sorted((ROOT / "src" / "core_picker").glob("*.py"))
+                for fn in ast.parse(path.read_text()).body if isinstance(fn, ast.FunctionDef)
+                for param, position in defaulted_params(fn)
+                if not any(passes(call, param, position) for call in calls.get(fn.name, []))]
+    assert unturned == []

@@ -81,6 +81,7 @@ def test_mean_correctness_within_three_standard_errors(noise, mu_S, se):
 
 
 def test_uniform_zero_radius_returns_exact_means():
+    """noise="none" returns mu(S) itself, and k draws sum to k mu(S) exactly."""
     game = gen_unit_game(3)
     oracle = RewardOracle(game, 0, "none")
     assert oracle.query(0b011) == game.mu[0b011]

@@ -26,6 +26,7 @@ def marginal_vectors(game):
 
 
 def test_allocation_sums_doubling():
+    """games.subset_sums gives every mask the sum of its allocation entries."""
     x = np.array([0.25, 0.5, 0.125])
     sums = subset_sums(x)
     assert sums[0b000] == 0.0
@@ -76,7 +77,7 @@ def test_generation_and_scan_hold_one_table_at_n20():
         scan_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert generated_peak < 1.5 * table  # the table plus a uint8 size table and one block
+    assert generated_peak < 1.5 * table  # the table plus a uint8 size table
     assert scan_peak < 0.5 * table  # no 2^n array besides the game's own
 
 
