@@ -22,27 +22,22 @@ saved state and the window's advances are replayed up to the first passing
 epoch, so the random stream, the sample count and the report are exactly
 those of checking epoch by epoch.  The price is the advances past the first
 passing epoch and their replay, at most one window's worth, once per run.
-
-Early windows are skipped undecided.  No check passes while the bonus exceeds
-``stop_bonus_ceiling(n)`` (derived there), and the bonus falls with the epoch
-from epoch 2 on, so a window whose last check still has a larger bonus (by a
-relative 1e-9, for rounding) cannot stop.  Such a window draws through the
-same loop as a decided one and stops before the estimates: it computes none
-and makes no stopping test.  The window ending at the epoch cap is always
-decided, since the report needs its estimates.
+The windows are fixed before a run starts, by :func:`check_schedule`.
 
 A run's state is built once from the n permutations, as their prefix masks
 ``chains`` and the gather ``index`` of their player ranks, plus one n x n
 array ``totals`` of summed prefix rewards.
 
 Each estimate is shifted onto the efficiency plane of the true mu(N), which
-treats mu(N) as known and reads it from the game (``oracle.game.mu_grand``):
-the one value the learner takes from anywhere but the bandit's rewards.
+treats mu(N) as known: ``oracle.mu_grand`` is, besides n, the one value the
+learner takes from anywhere but the bandit's rewards.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +62,8 @@ def confidence_bonus(ep: int, n: int, delta: float) -> float:
     Hoeffding at b/2 gives each prefix mean a failure chance of 2 delta/(n ep)
     per check, so the union over the n^2 prefix means gives 2 n delta/ep; on
     that event each telescoped coordinate lies within b.  The projection onto
-    mu(N) can add up to b/(2n), and summed over the scheduled checks the
+    mu(N) can add up to b/(2n), and summed over the C checks of
+    :func:`check_schedule` (C = 549 at the default cap, 878 at 2**63 - 1) the
     failure chance exceeds delta.  ROADMAP item 5 closes that gap."""
     return math.sqrt(2.0 * math.log(n * ep / delta) / ep)
 
@@ -101,6 +97,10 @@ class LearnerConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
+        try:  # whole epochs: a float cap would reach the report and the schedule cache
+            object.__setattr__(self, "max_epochs", operator.index(self.max_epochs))
+        except TypeError:
+            raise ValueError(f"max_epochs must be an integer, not {self.max_epochs!r}") from None
         if not 1 <= self.max_epochs <= 2**63 - 1:
             raise ValueError("max_epochs must lie in 1..2**63 - 1")
         resolve_permutations(self.perm_choice, 2)  # rejects an unknown choice
@@ -181,22 +181,32 @@ def stop_bonus_ceiling(n: int) -> float:
     return root / (root * (n + 1) + math.sqrt(2.0))
 
 
-def check_window(epoch: int, max_epochs: int) -> list[int]:
-    """The scheduled checks after ``epoch`` in the doubling window of the next.
+@functools.lru_cache
+def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
+    """A run's checks as ``(epochs, bonuses)`` pairs, one per window (2^j, 2^(j+1)].
 
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
-    ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The next check t
-    lies in the window (2^j, 2^(j+1)] with 2^j < t <= 2^(j+1).
+    ``CHECK_GROWTH``, and the last one is ``max_epochs``.  Early windows are
+    skipped undecided, with ``bonuses`` None.  No check passes while the bonus
+    exceeds ``stop_bonus_ceiling(n)`` (derived there), and the bonus falls with
+    the epoch from epoch 2 on, so a window whose last check still has a larger
+    bonus (by a relative slack, for rounding in the solve) cannot stop.  Such a
+    window draws through the same loop as a decided one and stops before the
+    estimates: it computes none and makes no stopping test.  The window ending
+    at the epoch cap is always decided, since the report needs its estimates.
+    Runs share the cached schedule, so it is made of tuples.
     """
-    def following(t):
-        step = t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH))
-        return min(step, max_epochs)
-
-    window = [following(epoch)]
-    end = 1 << (window[0] - 1).bit_length()
-    while window[-1] < max_epochs and following(window[-1]) <= end:
-        window.append(following(window[-1]))
-    return window
+    windows, t = {}, 0
+    while t < max_epochs:
+        t = min(t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH)), max_epochs)
+        windows.setdefault((t - 1).bit_length(), []).append(t)
+    ceiling = stop_bonus_ceiling(n) * (1.0 + 1e-9)
+    schedule = []
+    for window in windows.values():
+        bonuses = tuple(confidence_bonus(t, n, delta) for t in window)
+        cannot_stop = window[-1] < max_epochs and bonuses[-1] > ceiling
+        schedule.append((tuple(window), None if cannot_stop else bonuses))
+    return tuple(schedule)
 
 
 @dataclass(frozen=True)
@@ -222,26 +232,22 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     when the cap was hit first (the expected outcome on games whose core has
     an empty interior).
     """
-    n = oracle.game.n
+    n = oracle.n
     perms = resolve_permutations(config.perm_choice, n)
     chains = [prefix_coalitions(w) for w in perms]
     index = rank_index(np.array([w.ranks for w in perms]))
     totals = np.zeros((n, n))
-    ceiling = stop_bonus_ceiling(n) * (1.0 + 1e-9)  # slack for rounding in the solve
     epoch = 0
-    while epoch < config.max_epochs:
-        window = check_window(epoch, config.max_epochs)
+    for window, bonuses in check_schedule(n, config.delta, config.max_epochs):
         start, saved = epoch, oracle.state
         stack = np.empty((len(window), n, n))
         for i, target in enumerate(window):
             run_epochs(totals, oracle, chains, target - epoch)
             epoch = target
             stack[i] = totals
-        # the last check has the window's smallest bonus; above the ceiling none can pass
-        if epoch < config.max_epochs and confidence_bonus(epoch, n, config.delta) > ceiling:
+        if bonuses is None:  # no check in this window can pass
             continue
-        estimates = vertex_estimates(stack, window, index, oracle.game.mu_grand)
-        bonuses = [confidence_bonus(t, n, config.delta) for t in window]
+        estimates = vertex_estimates(stack, window, index, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():
             first = int(passed.argmax())

@@ -37,7 +37,7 @@ class RewardOracle:
     def __init__(self, game: GameSpec, seed, noise: str = "bernoulli"):
         if noise not in NOISE_MODELS:
             raise ValueError(f"unknown noise tag {noise!r}; use {' or '.join(NOISE_MODELS)}")
-        self.game = game
+        self.n, self.mu_grand = game.n, game.mu_grand  # all a learner may read of the game
         self.rng = np.random.default_rng(seed)
         self.total_queries = 0
         self._mu = game.mu

@@ -14,6 +14,7 @@ from core_picker.geometry import (
     box_hyperplane_clearance,
     fit_separating_hyperplane,
 )
+from core_picker.learner import CHECK_DENSE_UNTIL, CHECK_GROWTH
 
 
 def gen_weighted_game(n: int, seed) -> GameSpec:
@@ -28,6 +29,29 @@ def gen_weighted_game(n: int, seed) -> GameSpec:
     masks = np.arange(1 << n)
     weight = ((masks[:, None] >> np.arange(n)) & 1) @ w
     return GameSpec(n=n, mu=(weight / weight[-1]) ** 2)
+
+
+def reference_check_windows(max_epochs: int) -> list[list[int]]:
+    """A run's check epochs, window by window, built one check at a time.
+
+    Each check follows the last by one epoch up to ``CHECK_DENSE_UNTIL``, then
+    by a factor ``CHECK_GROWTH`` (at least one epoch), and none passes the cap.
+    A window takes checks while they stay at or below the power of two that
+    bounds its first check from above.
+    """
+    def following(t):
+        step = t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH))
+        return min(step, max_epochs)
+
+    epoch, windows = 0, []
+    while epoch < max_epochs:
+        window = [following(epoch)]
+        end = 1 << (window[0] - 1).bit_length()
+        while window[-1] < max_epochs and following(window[-1]) <= end:
+            window.append(following(window[-1]))
+        windows.append(window)
+        epoch = window[-1]
+    return windows
 
 
 def strict_convexity_margin(game: GameSpec) -> float:

@@ -1,7 +1,8 @@
 """``src/`` holds only what the program, the benchmark or the acceptance suite
 reaches: a public name that only unit tests use belongs in ``tests/support.py``,
 a private name that nothing else in ``src/`` reads is dead, and a defaulted
-parameter that no call passes is a knob nobody turns."""
+parameter that no call passes is a knob nobody turns.  The learner reads no
+game table, only the n and mu(N) its oracle exposes."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,11 @@ def test_every_defaulted_parameter_in_src_is_passed():
                 for param, position in defaulted_params(fn)
                 if not any(passes(call, param, position) for call in calls.get(fn.name, []))]
     assert unturned == []
+
+
+def test_learner_reads_the_game_only_through_n_and_mu_grand():
+    # the oracle's n and mu_grand are all the learner may know of the game:
+    # a read of the table would let it learn from something besides the bandit
+    tree = ast.parse((ROOT / "src" / "core_picker" / "learner.py").read_text())
+    names = used_names(tree) | {a.name for a in ast.walk(tree) if isinstance(a, ast.alias)}
+    assert names & {"game", "mu", "_mu", "GameSpec"} == set()

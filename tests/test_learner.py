@@ -5,6 +5,7 @@ import pytest
 
 from core_picker import learner
 from core_picker.games import (
+    GameSpec,
     cyclic_permutations,
     gen_permutahedron,
     gen_strictly_convex,
@@ -17,7 +18,7 @@ from core_picker.learner import (
     CHECK_DENSE_UNTIL,
     CHECK_GROWTH,
     LearnerConfig,
-    check_window,
+    check_schedule,
     common_points_picking,
     confidence_bonus,
     rank_index,
@@ -29,7 +30,7 @@ from core_picker.learner import (
 )
 from core_picker.oracle import RewardOracle
 from core_picker.verify import core_membership
-from support import gen_weighted_game
+from support import gen_weighted_game, reference_check_windows
 
 
 def noise_free(game, seed):
@@ -73,6 +74,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="max_epochs"):
         LearnerConfig(delta=0.1, max_epochs=2**63)  # above numpy's largest binomial count
     LearnerConfig(delta=0.1, max_epochs=2**63 - 1)
+    for cap in (100.5, 1000.0):  # a cap counts whole epochs; it used to reach the report
+        with pytest.raises(ValueError, match="max_epochs must be an integer"):
+            LearnerConfig(delta=0.1, max_epochs=cap)
+    assert type(LearnerConfig(delta=0.1, max_epochs=np.int64(1000)).max_epochs) is int
     with pytest.raises(ValueError, match="unknown permutation choice 'bogus'"):
         LearnerConfig(delta=0.1, perm_choice="bogus")  # rejected when built, not in the run
     assert RewardOracle(gen_unit_game(3), 0).query_sum(1, 2**63 - 1) > 0  # the cap still draws
@@ -329,10 +334,7 @@ def test_two_player_game_runs():
 
 
 def test_check_windows_split_the_schedule_at_powers_of_two():
-    epoch, windows = 0, []
-    while epoch < 1000:
-        windows.append(check_window(epoch, 1000))
-        epoch = windows[-1][-1]
+    windows = [list(window) for window, _ in check_schedule(3, 0.1, 1000)]
     assert windows[:4] == [[1], [2], [3, 4], [5, 6, 7, 8]]
     assert windows[6] == list(range(33, 65))
     assert windows[7] == [67, 70, 73, 76, 79, 82, 86, 90, 94, 98, 102, 107, 112, 117, 122, 128]
@@ -341,13 +343,49 @@ def test_check_windows_split_the_schedule_at_powers_of_two():
         assert all(2 ** (j - 1) < t <= 2 ** j for t in window)
 
 
+# (cap, checks, windows): C of the bonus's union bound is the number of checks
+SCHEDULE_SIZES = [(1, 1, 1), (2, 2, 2), (63, 63, 7), (64, 64, 7), (65, 65, 8), (100, 75, 8),
+                  (10**6, 266, 21), (10**12, 549, 41), (2**63 - 1, 878, 64)]
+
+
+@pytest.mark.parametrize("cap, checks, windows", SCHEDULE_SIZES)
+def test_schedule_windows_equal_the_one_check_at_a_time_reference(cap, checks, windows):
+    schedule = check_schedule(3, 0.1, cap)
+    assert [list(window) for window, _ in schedule] == reference_check_windows(cap)
+    assert (sum(len(window) for window, _ in schedule), len(schedule)) == (checks, windows)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.01])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_schedule_bonuses_are_the_confidence_bonus_and_skip_above_the_ceiling(n, delta):
+    # no last bonus on this grid lies within rounding of the ceiling, so the
+    # skips are exactly those of the bare ceiling
+    for cap in (10**6, 10**12, 2**63 - 1):
+        schedule = check_schedule(n, delta, cap)
+        skipped = [bonuses is None for _, bonuses in schedule]
+        assert skipped == sorted(skipped, reverse=True)  # the skipped windows come first
+        for window, bonuses in schedule:
+            last = confidence_bonus(window[-1], n, delta)
+            assert (bonuses is None) == (window[-1] < cap and last > stop_bonus_ceiling(n))
+            if bonuses is not None:
+                assert bonuses == tuple(confidence_bonus(t, n, delta) for t in window)
+
+
+def test_schedule_is_one_shared_immutable_object():
+    # every run with the same n, delta and cap reads the same cached schedule
+    schedule = check_schedule(4, 0.1, 10**12)
+    assert check_schedule(4, 0.1, LearnerConfig(delta=0.1).max_epochs) is schedule
+    assert type(schedule) is tuple
+    for window, bonuses in schedule:
+        assert type(window) is tuple and all(type(t) is int for t in window)
+        assert bonuses is None or type(bonuses) is tuple
+
+
 def test_windows_that_cannot_stop_skip_the_stopping_test(monkeypatch):
     n, config = 3, LearnerConfig(delta=0.1)
-    ceiling = stop_bonus_ceiling(n) * (1 + 1e-9)
-    epoch, last = 0, 1
-    while confidence_bonus(last, n, 0.1) > ceiling:
-        epoch, last = last, check_window(last, config.max_epochs)[-1]
-    assert epoch == 245  # the last skipped window is the one in (128, 256]
+    schedule = check_schedule(n, 0.1, config.max_epochs)
+    skipped = [window for window, bonuses in schedule if bonuses is None]
+    assert skipped[-1][-1] == 245  # the last skipped window is the one in (128, 256]
     seen, estimated = [], []
 
     def counted(estimates, bonuses):
@@ -363,14 +401,49 @@ def test_windows_that_cannot_stop_skip_the_stopping_test(monkeypatch):
     game = gen_strictly_convex(n, 3)
     report = common_points_picking(RewardOracle(game, seed=4), config)
     assert report.stopped_naturally and report.epochs > 245
-    window = check_window(245, config.max_epochs)
+    window = schedule[len(skipped)][0]
     assert seen[0] == [confidence_bonus(t, n, 0.1) for t in window]
-    assert estimated[0] == window  # skipped windows compute no estimates either
+    assert estimated[0] == list(window)  # skipped windows compute no estimates either
+
+
+def one_window_per_check(n, delta, max_epochs):
+    """Every check in a window of its own, and none skipped."""
+    return tuple(((t,), (confidence_bonus(t, n, delta),))
+                 for window, _ in check_schedule(n, delta, max_epochs) for t in window)
+
+
+@pytest.mark.parametrize("gen, n, cap", [("strict", 3, 10**12), ("strict", 5, 10**12),
+                                         ("strict", 6, 10**12), ("unit", 4, 5_000)])
+def test_windows_change_speed_never_results(monkeypatch, gen, n, cap):
+    config = LearnerConfig(delta=0.1, max_epochs=cap)
+    for seed in range(3):
+        game = gen_unit_game(n) if gen == "unit" else gen_strictly_convex(n, seed)
+        windowed, single = RewardOracle(game, seed + 100), RewardOracle(game, seed + 100)
+        expected = common_points_picking(windowed, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(learner, "check_schedule", one_window_per_check)
+            report = common_points_picking(single, config)
+        assert (report.epochs, report.bonus, report.stopped_naturally) == (
+            expected.epochs, expected.bonus, expected.stopped_naturally)
+        assert report.stopped_naturally == (gen == "strict")
+        assert report.estimates.tobytes() == expected.estimates.tobytes()
+        assert single.total_queries == windowed.total_queries
+        assert single.rng.bit_generator.state == windowed.rng.bit_generator.state
+
+
+def test_a_run_stops_at_the_first_check_below_the_bonus_ceiling():
+    # the estimates (1, -1) and (-1, 1) pass at any bonus up to the ceiling,
+    # so a skipped window that could pass would delay the stop
+    game = GameSpec(n=2, mu=[0.0, 1.0, 1.0, 0.0])
+    report = common_points_picking(noise_free(game, 0), LearnerConfig(delta=0.1))
+    checks = [t for window, _ in check_schedule(2, 0.1, 10**12) for t in window]
+    first = next(t for t in checks if confidence_bonus(t, 2, 0.1) <= stop_bonus_ceiling(2))
+    assert report.stopped_naturally and report.epochs == first
 
 
 def one_check_per_epoch(oracle, config):
     """Reference: check the stopping rule at every scheduled epoch in turn."""
-    n = oracle.game.n
+    n = oracle.n
     perms = resolve_permutations(config.perm_choice, n)
     chains = [prefix_coalitions(w) for w in perms]
     totals = np.zeros((n, n))
@@ -379,7 +452,7 @@ def one_check_per_epoch(oracle, config):
         target = min(next_check, config.max_epochs)
         draw_row_major(totals, oracle, chains, target - epoch)
         epoch = target
-        estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.game.mu_grand)
+        estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.mu_grand)
         bonus = confidence_bonus(epoch, n, config.delta)
         if stopping_condition(estimates, bonus):
             return estimates, epoch, bonus, True
@@ -417,8 +490,6 @@ def test_capped_unit_run_matches_one_check_per_epoch(cap):
 
 
 def test_scaled_and_noise_free_runs_match_one_check_per_epoch():
-    from core_picker.games import GameSpec
-
     # a scaled table makes the grand-coalition reward genuinely stochastic
     scaled = GameSpec(n=3, mu=gen_strictly_convex(3, 5).mu * 0.8)
     assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, max_epochs=10**5))
@@ -459,23 +530,12 @@ def test_noisy_weighted_runs_are_sound_and_covered():
         assert check.max_violation <= 0.0 and check.efficiency_gap <= 1e-10
 
 
-class KnownGrandValue:
-    """What the learner may know of the game: n and mu(N), never the table."""
-
-    def __init__(self, game):
-        self.n, self.mu_grand = game.n, game.mu_grand
-
-    @property
-    def mu(self):
-        raise AssertionError("the learner read the game table")
-
-
 class BanditView:
-    """An oracle cut down to rewards, the rewind state and KnownGrandValue."""
+    """An oracle cut down to rewards, the rewind state, n and mu(N): no game table."""
 
     def __init__(self, oracle):
         self._oracle = oracle
-        self.game = KnownGrandValue(oracle.game)
+        self.n, self.mu_grand = oracle.n, oracle.mu_grand
 
     def query_sum(self, S, k):
         return self._oracle.query_sum(S, k)
