@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -101,6 +100,9 @@ def _parallel_map(fn, jobs):
     workers = min(_worker_count(), len(jobs))
     if workers <= 1:
         return [fn(j) for j in jobs]
+    # imported here, so that learn and the package import load no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 

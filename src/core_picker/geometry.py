@@ -105,16 +105,18 @@ def separating_normals(points):
     as a whole, so the sets are then inverted one by one.
     """
     pts = np.asarray(points, dtype=np.float64)
-    shifted = pts - pts.mean(axis=-1, keepdims=True) + 1.0
+    n = pts.shape[-1]
+    # the means, column norms and all() are spelled as the ufunc reductions
+    # that numpy's wrappers compute, bit for bit, without the wrappers' cost
+    shifted = pts - np.add.reduce(pts, axis=-1, keepdims=True) / n + 1.0
     try:
         inverse = np.linalg.inv(shifted)
     except np.linalg.LinAlgError:
-        n = shifted.shape[-1]
         inverse = np.stack([_inverse_or_nan(m) for m in shifted.reshape(-1, n, n)])
         inverse = inverse.reshape(shifted.shape)
-    gradients = inverse - inverse.mean(axis=-2, keepdims=True)
-    altitudes = 1.0 / np.linalg.norm(gradients, axis=-2)
-    altitudes[~np.all(altitudes > RANK_TOL, axis=-1)] = np.nan  # also catches nan
+    gradients = inverse - np.add.reduce(inverse, axis=-2, keepdims=True) / n
+    altitudes = 1.0 / np.sqrt(np.add.reduce(gradients * gradients, axis=-2))
+    altitudes[~np.logical_and.reduce(altitudes > RANK_TOL, axis=-1)] = np.nan  # also catches nan
     return -np.swapaxes(gradients * altitudes[..., None, :], -1, -2), altitudes
 
 

@@ -15,14 +15,18 @@ which the stopping condition held, at most ``CHECK_GROWTH`` times the exact
 one.
 
 The rule is checked once per window, the scheduled check epochs in
-(2^j, 2^(j+1)].  The run saves the oracle's state, advances through the
-window, stacks the totals of each check epoch, and decides the whole window
-in one stacked solve.  If some epoch passes, the oracle is rewound to the
-saved state and the window's advances are replayed up to the first passing
-epoch, so the random stream, the sample count and the report are exactly
-those of checking epoch by epoch.  The price is the advances past the first
-passing epoch and their replay, at most one window's worth, once per run.
-The windows are fixed before a run starts, by :func:`check_schedule`.
+(2^j, 2^(j+1)].  The run saves the oracle's state and advances through the
+window, keeping each advance's n x n prefix sums as :func:`run_epochs`
+returns them.  One array build and one cumulative sum over the window's
+starting totals and those sums give the totals at every check epoch, by the
+same additions in the same order as adding each advance to the totals in
+turn, and one stacked solve decides the whole window.  If some epoch passes,
+the oracle is rewound to the saved state and the window's advances are
+replayed up to the first passing epoch, so the random stream, the sample
+count and the report are exactly those of checking epoch by epoch.  The
+price is the advances past the first passing epoch and their replay, at most
+one window's worth, once per run.  The windows are fixed before a run
+starts, by :func:`check_schedule`.
 
 A run's state is built once from the n permutations, as their prefix masks
 ``chains`` and the gather ``index`` of their player ranks, plus one n x n
@@ -106,15 +110,15 @@ class LearnerConfig:
         resolve_permutations(self.perm_choice, 2)  # rejects an unknown choice
 
 
-def run_epochs(totals: np.ndarray, oracle: RewardOracle, chains, k: int) -> None:
-    """Advance k epochs: add k rewards of every prefix chains[p][i] to totals[p, i].
+def run_epochs(oracle: RewardOracle, chains, k: int) -> list[list]:
+    """The sums of k more rewards of every prefix, as an n x n nested list.
 
-    ``totals[p, i]`` is the summed reward of the (i+1)-th arrival prefix of
-    permutation p; the n^2 prefix sums are drawn in row-major order and added
-    to ``totals`` in one array add.
+    Entry [p][i] sums the rewards of the (i+1)-th arrival prefix
+    ``chains[p][i]`` of permutation p.  The n^2 sums are drawn in row-major
+    order, one ``query_sum`` each; the caller adds them to its totals.
     """
     query_sum = oracle.query_sum
-    totals += [[query_sum(coalition, k) for coalition in chain] for chain in chains]
+    return [[query_sum(coalition, k) for coalition in chain] for chain in chains]
 
 
 def rank_index(ranks: np.ndarray) -> np.ndarray:
@@ -162,7 +166,7 @@ def stopping_condition(estimates, bonus):
     bonus = np.asarray(bonus, dtype=np.float64)[..., None]
     eps = 2.0 * math.sqrt(n) * bonus
     clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=-1)
-    return np.all(clearance >= n * eps, axis=-1)
+    return np.logical_and.reduce(clearance >= n * eps, axis=-1)
 
 
 def stop_bonus_ceiling(n: int) -> float:
@@ -240,21 +244,22 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     epoch = 0
     for window, bonuses in check_schedule(n, config.delta, config.max_epochs):
         start, saved = epoch, oracle.state
-        stack = np.empty((len(window), n, n))
-        for i, target in enumerate(window):
-            run_epochs(totals, oracle, chains, target - epoch)
+        advances = [totals]
+        for target in window:
+            advances.append(run_epochs(oracle, chains, target - epoch))
             epoch = target
-            stack[i] = totals
+        # row i + 1 is the totals at check i, added up one advance at a time
+        stack = np.cumsum(np.array(advances, dtype=np.float64), axis=0)
+        totals = stack[-1]
         if bonuses is None:  # no check in this window can pass
             continue
-        estimates = vertex_estimates(stack, window, index, oracle.mu_grand)
+        estimates = vertex_estimates(stack[1:], window, index, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():
             first = int(passed.argmax())
             oracle.state = saved  # replay up to the first pass, as if checked epoch by epoch
-            replay = np.zeros((n, n))
             for target in window[:first + 1]:
-                run_epochs(replay, oracle, chains, target - start)
+                run_epochs(oracle, chains, target - start)
                 start = target
             return RunReport(estimates[first], window[first], bonuses[first], True)
     return RunReport(estimates[-1], epoch, bonuses[-1], False)

@@ -10,6 +10,7 @@ import numpy as np
 
 from core_picker.games import GameSpec
 from core_picker.geometry import (
+    RANK_TOL,
     ConfidenceBox,
     box_hyperplane_clearance,
     fit_separating_hyperplane,
@@ -100,6 +101,30 @@ def simplex_altitudes(points) -> np.ndarray:
         else:
             out.append(float(np.linalg.norm(gap)))
     return np.array(out)
+
+
+def reference_separating_normals(points):
+    """``geometry.separating_normals`` spelled with numpy's own ``mean``,
+    ``linalg.norm`` and ``all``: the package's ufunc reductions must give
+    these bytes.  An exactly singular stack is inverted one set at a time,
+    with NaN for each singular set."""
+    pts = np.asarray(points, dtype=np.float64)
+    shifted = pts - pts.mean(axis=-1, keepdims=True) + 1.0
+    try:
+        inverse = np.linalg.inv(shifted)
+    except np.linalg.LinAlgError:
+        n = shifted.shape[-1]
+        inverse = np.empty_like(shifted).reshape(-1, n, n)
+        for i, matrix in enumerate(shifted.reshape(-1, n, n)):
+            try:
+                inverse[i] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                inverse[i] = np.nan
+        inverse = inverse.reshape(shifted.shape)
+    gradients = inverse - inverse.mean(axis=-2, keepdims=True)
+    altitudes = 1.0 / np.linalg.norm(gradients, axis=-2)
+    altitudes[~np.all(altitudes > RANK_TOL, axis=-1)] = np.nan
+    return -np.swapaxes(gradients * altitudes[..., None, :], -1, -2), altitudes
 
 
 def sum_zero(v: np.ndarray) -> np.ndarray:

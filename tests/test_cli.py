@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import shlex
 import subprocess
@@ -127,12 +128,24 @@ def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch):
         def map(self, fn, jobs, chunksize):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setenv("CORE_PICKER_THREADS", "6")
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     for jobs in (2, 10, 1, 0):
         assert cli._parallel_map(abs, list(range(-jobs, 0))) == list(range(jobs, 0, -1))
     assert started == [2, 6]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # learn and the package import never start a pool, so they skip its import cost
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = ("import sys, core_picker, core_picker.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def test_cw_output_columns_and_positive_width(tmp_path):

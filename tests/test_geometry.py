@@ -11,6 +11,7 @@ from support import (
     meets_clearance_condition,
     random_box_corner,
     random_box_point,
+    reference_separating_normals,
     simplex_altitudes,
     strict_convexity_margin,
     sum_zero,
@@ -238,6 +239,29 @@ def test_degenerate_sets_alone_get_nan_in_a_stack():
             assert altitudes[i].tobytes() == alone[1][0].tobytes()
         planes = [fit_separating_hyperplane(points, p, 0.0) for p in range(4)]
         assert all((plane is None) == degenerate for plane in planes)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_separating_normals_match_the_numpy_wrapper_reference_bytes(n):
+    rng = np.random.default_rng(300 + n)
+    random = rng.random((5, n, n))
+    scaled = random * np.array([1e-12, 1e-6, 1.0, 1e6, 1e12])[:, None, None]
+    degenerate = rng.normal(size=(4, n, n))
+    degenerate[1, 0] = degenerate[1, -1]  # a repeated point
+    weights = rng.random(n - 1)
+    degenerate[3, 0] = weights / weights.sum() @ degenerate[3, 1:]  # x^0 on the others' hull
+    singular = rng.random((4, n, n))
+    singular[0, 1] = singular[0, 0]
+    singular[2] = 0.0  # every point the same
+    shifted = singular - singular.mean(axis=-1, keepdims=True) + 1.0
+    with pytest.raises(np.linalg.LinAlgError):  # so the sets are inverted one by one
+        np.linalg.inv(shifted)
+    for stack in (random[0], random, scaled, degenerate, singular):
+        normals, altitudes = separating_normals(stack)
+        expected_normals, expected_altitudes = reference_separating_normals(stack)
+        assert normals.tobytes() == expected_normals.tobytes()
+        assert altitudes.tobytes() == expected_altitudes.tobytes()
+    assert np.isnan(altitudes[[0, 2]]).all() and not np.isnan(altitudes[[1, 3]]).any()
 
 
 def test_two_points_separate_in_the_plane():

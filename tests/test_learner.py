@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,6 @@ from core_picker.games import (
 )
 from core_picker.geometry import mean_point
 from core_picker.learner import (
-    CHECK_DENSE_UNTIL,
-    CHECK_GROWTH,
     LearnerConfig,
     check_schedule,
     common_points_picking,
@@ -100,7 +99,7 @@ def advance(oracle, perms, k, totals=None):
     """Prefix totals after k more epochs over the given permutations."""
     if totals is None:
         totals = np.zeros((len(perms), len(perms)))
-    run_epochs(totals, oracle, [prefix_coalitions(w) for w in perms], k)
+    totals += run_epochs(oracle, [prefix_coalitions(w) for w in perms], k)
     return totals
 
 
@@ -119,11 +118,26 @@ def test_run_epochs_draws_row_major(noise, k):
     oracle, reference = RewardOracle(game, 21, noise), RewardOracle(game, 21, noise)
     totals, expected = np.zeros((4, 4)), np.zeros((4, 4))
     for _ in range(2):
-        run_epochs(totals, oracle, chains, k)
+        sums = run_epochs(oracle, chains, k)  # an n x n nested list, added by the caller
+        assert len(sums) == 4 and all(type(row) is list and len(row) == 4 for row in sums)
+        totals += sums
         draw_row_major(expected, reference, chains, k)
     assert totals.tobytes() == expected.tobytes()
     assert oracle.total_queries == reference.total_queries == 2 * 16 * k
     assert oracle.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_a_run_caches_one_mean_per_prefix_it_queries():
+    n = 10
+    game = gen_strictly_convex(n, 1)
+    oracle = RewardOracle(game, seed=2)
+    report = common_points_picking(oracle, LearnerConfig(delta=0.1, perm_choice="cyclic"))
+    assert report.stopped_naturally
+    cached = oracle._means
+    prefixes = {S for w in resolve_permutations("cyclic", n) for S in prefix_coalitions(w)}
+    assert set(cached) == prefixes and len(cached) <= n * n
+    for S, mean in cached.items():
+        assert type(mean) is float and mean == float(game.mu[S])
 
 
 def index_of(perms):
@@ -447,19 +461,14 @@ def one_check_per_epoch(oracle, config):
     perms = resolve_permutations(config.perm_choice, n)
     chains = [prefix_coalitions(w) for w in perms]
     totals = np.zeros((n, n))
-    epoch, next_check = 0, 1
-    while epoch < config.max_epochs:
-        target = min(next_check, config.max_epochs)
+    epoch = 0
+    for target in itertools.chain.from_iterable(reference_check_windows(config.max_epochs)):
         draw_row_major(totals, oracle, chains, target - epoch)
         epoch = target
         estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.mu_grand)
         bonus = confidence_bonus(epoch, n, config.delta)
         if stopping_condition(estimates, bonus):
             return estimates, epoch, bonus, True
-        if epoch < CHECK_DENSE_UNTIL:
-            next_check = epoch + 1
-        else:
-            next_check = max(epoch + 1, int(epoch * CHECK_GROWTH))
     return estimates, epoch, bonus, False
 
 
