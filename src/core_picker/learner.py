@@ -20,7 +20,9 @@ window, keeping each advance's n x n prefix sums as :func:`run_epochs`
 returns them.  One array build and one cumulative sum over the window's
 starting totals and those sums give the totals at every check epoch, by the
 same additions in the same order as adding each advance to the totals in
-turn, and one stacked solve decides the whole window.  If some epoch passes,
+turn.  :func:`stopping_condition` then decides the whole window: a distance
+bound rules out the checks that cannot pass, and one stacked solve decides
+the rest.  If some epoch passes,
 the oracle is rewound to the saved state and the window's advances are
 replayed up to the first passing epoch, so the random stream, the sample
 count and the report are exactly those of checking epoch by epoch.  The
@@ -158,15 +160,52 @@ def stopping_condition(estimates, bonus):
     by at least n * eps: altitude_p - eps - bonus * ||v_p||_1 >= n * eps for
     the unit facet normal v_p.  Degenerate estimates (NaN altitudes) fail.
 
-    A (..., n, n) stack of estimates with a matching stack of bonuses is
-    decided in one stacked solve and gives a boolean array of that shape.
+    Most checks are decided False before any solve, by a distance bound.  Let
+    r be the distance from the mean of the n estimates to the estimate nearest
+    it, x^p.  The altitude of x^p is at most its distance to the centroid of
+    the other n - 1 estimates, which lies on the opposite facet, and that
+    distance is n/(n-1) ||x^p - mean|| = n/(n-1) r.  The solve first moves
+    each row along the all-ones direction onto the plane of coordinate sum n;
+    that is an orthogonal projection, which keeps centroids and lengthens no
+    distance, so the bound holds for the altitudes the solve measures even
+    when the estimates lie on different planes.  A pass needs altitude_p >=
+    bonus (2 sqrt(n) (n+1) + ||v_p||_1), so a check with
+    n r < (n-1) bonus (2 sqrt(n) (n+1) + 1) cannot pass.  This is
+    :func:`stop_bonus_ceiling`'s argument with the estimates' own spread in
+    place of the worst-case diameter.
+
+    The floor takes ||v_p||_1 >= ||v_p||_2 = 1, which any computed unit
+    vector meets, whatever rounding did to its zero sum, rather than the
+    sqrt(2) of an exact sum-zero normal.  The (sqrt(2) - 1) bonus it gives up
+    is at least 0.2% of the floor for n <= 20 and absorbs the solve's rounding
+    of the altitudes: on random sets at n = 2..20 with coordinates up to
+    1e12 in magnitude, no computed altitude exceeded n/(n-1) r by more than
+    1e-4 relative.  The relative slack of 1e-9 covers the few ulps of
+    rounding in r and in the floor.  Past about 1e13 the shift onto
+    coordinate sum n is lost in rounding, the solve's altitudes are noise,
+    and the bound can decide False where a solve would have said True.
+
+    A (..., n, n) stack of estimates with a matching stack of bonuses gives a
+    boolean array of that shape.  The checks the bound leaves are decided in
+    one stacked solve; the solve and every reduction work one set at a time,
+    so each boolean is the one a solve of every check gives.  NaN or infinite
+    estimates fail.
     """
-    normals, altitudes = separating_normals(estimates)
-    n = altitudes.shape[-1]
-    bonus = np.asarray(bonus, dtype=np.float64)[..., None]
-    eps = 2.0 * math.sqrt(n) * bonus
-    clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=-1)
-    return np.logical_and.reduce(clearance >= n * eps, axis=-1)
+    points = np.asarray(estimates, dtype=np.float64)
+    n = points.shape[-1]
+    bonus = np.asarray(bonus, dtype=np.float64)
+    root = 2.0 * math.sqrt(n)
+    offsets = points - np.add.reduce(points, axis=-2, keepdims=True) / n
+    nearest = np.sqrt(np.minimum.reduce(np.add.reduce(offsets * offsets, axis=-1), axis=-1))
+    solve = nearest >= bonus * ((n - 1) / n * (root * (n + 1) + 1.0) * (1.0 - 1e-9))
+    passed = np.zeros(solve.shape, dtype=bool)
+    if solve.any():
+        normals, altitudes = separating_normals(points[solve])
+        bonus = np.broadcast_to(bonus, solve.shape)[solve][:, None]
+        eps = root * bonus
+        clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=-1)
+        passed[solve] = np.logical_and.reduce(clearance >= n * eps, axis=-1)
+    return passed[()]  # a single set gives a numpy bool, not a 0-d array
 
 
 def stop_bonus_ceiling(n: int) -> float:
@@ -180,6 +219,8 @@ def stop_bonus_ceiling(n: int) -> float:
     b ||v||_1, and a unit sum-zero normal v has ||v||_1 >= sqrt(2) (its
     positive and negative parts each sum to at least 1/sqrt(2)).  The bound
     is exact at n = 2, where (1, -1) and (-1, 1) pass at any b <= 2/7.
+    :func:`stopping_condition` applies the same argument to each check, with
+    the estimates' own spread in place of the diameter 2 sqrt(n).
     """
     root = 2.0 * math.sqrt(n)
     return root / (root * (n + 1) + math.sqrt(2.0))

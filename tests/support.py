@@ -6,6 +6,8 @@ squares, direct enumeration) rather than through the package's own geometry
 paths, so the two sides can validate each other.
 """
 
+import math
+
 import numpy as np
 
 from core_picker.games import GameSpec
@@ -14,6 +16,7 @@ from core_picker.geometry import (
     ConfidenceBox,
     box_hyperplane_clearance,
     fit_separating_hyperplane,
+    separating_normals,
 )
 from core_picker.learner import CHECK_DENSE_UNTIL, CHECK_GROWTH
 
@@ -125,6 +128,17 @@ def reference_separating_normals(points):
     altitudes = 1.0 / np.linalg.norm(gradients, axis=-2)
     altitudes[~np.all(altitudes > RANK_TOL, axis=-1)] = np.nan
     return -np.swapaxes(gradients * altitudes[..., None, :], -1, -2), altitudes
+
+
+def reference_stopping_condition(estimates, bonus):
+    """``learner.stopping_condition`` without its distance bound: every check
+    is solved, in one stacked solve, and decided by its clearance alone."""
+    normals, altitudes = separating_normals(estimates)
+    n = altitudes.shape[-1]
+    bonus = np.asarray(bonus, dtype=np.float64)[..., None]
+    eps = 2.0 * math.sqrt(n) * bonus
+    clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=-1)
+    return np.logical_and.reduce(clearance >= n * eps, axis=-1)
 
 
 def sum_zero(v: np.ndarray) -> np.ndarray:

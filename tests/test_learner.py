@@ -14,7 +14,7 @@ from core_picker.games import (
     marginal_vector,
     prefix_coalitions,
 )
-from core_picker.geometry import mean_point
+from core_picker.geometry import mean_point, separating_normals
 from core_picker.learner import (
     LearnerConfig,
     check_schedule,
@@ -29,7 +29,7 @@ from core_picker.learner import (
 )
 from core_picker.oracle import RewardOracle
 from core_picker.verify import core_membership
-from support import gen_weighted_game, reference_check_windows
+from support import gen_weighted_game, reference_check_windows, reference_stopping_condition
 
 
 def noise_free(game, seed):
@@ -266,6 +266,88 @@ def test_no_estimates_pass_above_the_bonus_ceiling(n):
             estimates = vertex_estimates(totals, np.ones(1000), index, mu_grand)
             assert not stopping_condition(estimates, np.full(1000, ceiling * (1 + 1e-9))).any()
             assert stopping_condition(estimates, np.full(1000, ceiling / 10)).any()  # not vacuous
+
+
+def count_solves(monkeypatch):
+    """The sizes of the stacks ``stopping_condition`` hands to the solve."""
+    solved = []
+
+    def counted(points):
+        solved.append(len(points))
+        return separating_normals(points)
+
+    monkeypatch.setattr(learner, "separating_normals", counted)
+    return solved
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_the_distance_bound_changes_no_boolean_of_solving_every_check(monkeypatch, n):
+    rng = np.random.default_rng(700 + n)
+    random = rng.uniform(-1.0, 1.0, (6, n, n))
+    scaled = rng.random((5, n, n)) * np.array([1e-12, 1e-6, 1.0, 1e6, 1e12])[:, None, None]
+    degenerate = rng.normal(size=(2, n, n))
+    degenerate[0, 0] = degenerate[0, -1]  # a repeated point
+    weights = rng.random(n - 1)
+    degenerate[1, 0] = weights / weights.sum() @ degenerate[1, 1:]  # x^0 on the others' hull
+    singular = np.round(rng.random((6, n, n)))  # 0/1 means, as after one Bernoulli epoch
+    singular[0] = 0.0  # every point the same, so the stacked inverse fails
+    off_plane = rng.random((4, n, n)) + rng.normal(size=(4, n, 1))  # rows of different sums
+    # regular simplices: every altitude equals n/(n-1) r, so the bound is tightest here
+    regular = np.eye(n) * np.array([1.0, 1e-3, 1e3])[:, None, None] + rng.normal(size=(3, 1, 1))
+    solved, checks = count_solves(monkeypatch), 0
+    root = 2.0 * math.sqrt(n)
+    for stack in (random, scaled, degenerate, singular, off_plane, regular):
+        normals, altitudes = separating_normals(stack)
+        passing = (altitudes / (root * (n + 1) + np.abs(normals).sum(axis=-1))).min(axis=-1)
+        nearest = np.linalg.norm(stack - stack.mean(axis=-2, keepdims=True), axis=-1).min(axis=-1)
+        skipping = n * nearest / ((n - 1) * (root * (n + 1) + 1.0))
+        for edge in (passing * (1 - 1e-9), passing * (1 + 1e-9),
+                     skipping * (1 - 1e-6), skipping * (1 + 1e-6)):
+            bonuses = np.where(np.isnan(edge), 1e-3, edge)  # degenerate sets have no threshold
+            expected = reference_stopping_condition(stack, bonuses)
+            assert stopping_condition(stack, bonuses).tolist() == expected.tolist()
+            checks += len(stack)
+    with pytest.raises(np.linalg.LinAlgError):  # the reference inverts these sets one by one
+        np.linalg.inv(singular - singular.mean(axis=-1, keepdims=True) + 1.0)
+    assert 0 < sum(solved) < checks  # some checks were skipped and some solved
+    # not vacuous: the last stack, the regular simplices, passes just below its thresholds
+    assert stopping_condition(regular, passing * (1 - 1e-9)).all()
+
+
+def test_stopping_condition_keeps_its_edge_cases(monkeypatch):
+    basis = 10 / np.sqrt(2) * np.eye(3)  # pairwise distance 10
+    solved = count_solves(monkeypatch)
+    # one set and a scalar bonus give a numpy bool: a pass, a solved fail and a skip
+    for bonus in (0.5, 0.57, 10.0):
+        result, expected = stopping_condition(basis, bonus), reference_stopping_condition(basis, bonus)
+        assert type(result) is type(expected) and result.shape == expected.shape == ()
+        assert result == expected == (bonus == 0.5)
+    assert solved == [1, 1]
+    broken = np.array([basis] * 4)
+    broken[0, 0, 0], broken[1, 1, 1], broken[2] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        assert stopping_condition(broken, 1e-4).tolist() == [False, False, False, True]
+    solved.clear()
+    result = stopping_condition(np.array([[basis] * 3] * 2), np.full((2, 3), 10.0))
+    assert result.shape == (2, 3) and result.dtype == bool and not result.any()
+    assert solved == []  # every check skipped
+
+
+def test_runs_solve_only_the_checks_the_distance_bound_leaves(monkeypatch):
+    solved, decided = count_solves(monkeypatch), []
+
+    def counted(estimates, bonuses):
+        decided.append(len(bonuses))
+        return stopping_condition(estimates, bonuses)
+
+    monkeypatch.setattr(learner, "stopping_condition", counted)
+    unit = common_points_picking(RewardOracle(gen_unit_game(4), seed=7),
+                                 LearnerConfig(delta=0.1, max_epochs=10**6))
+    assert not unit.stopped_naturally and sum(decided) > 100 and solved == []
+    decided.clear()
+    strict = common_points_picking(RewardOracle(gen_strictly_convex(6, 0), seed=7),
+                                   LearnerConfig(delta=0.1))
+    assert strict.stopped_naturally and 0 < 3 * sum(solved) <= sum(decided)
 
 
 def test_bonus_ceiling_is_exact_for_two_players():
