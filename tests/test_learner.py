@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from core_picker.games import (
 )
 from core_picker.geometry import mean_point, separating_normals
 from core_picker.learner import (
+    DEFAULT_MAX_EPOCHS,
     LearnerConfig,
     check_schedule,
     common_points_picking,
@@ -130,14 +132,41 @@ def test_run_epochs_draws_row_major(noise, k):
 def test_a_run_caches_one_mean_per_prefix_it_queries():
     n = 10
     game = gen_strictly_convex(n, 1)
-    oracle = RewardOracle(game, seed=2)
-    report = common_points_picking(oracle, LearnerConfig(delta=0.1, perm_choice="cyclic"))
-    assert report.stopped_naturally
-    cached = oracle._means
     prefixes = {S for w in resolve_permutations("cyclic", n) for S in prefix_coalitions(w)}
-    assert set(cached) == prefixes and len(cached) <= n * n
-    for S, mean in cached.items():
-        assert type(mean) is float and mean == float(game.mu[S])
+    for noise in ("bernoulli", "none"):
+        oracle = RewardOracle(game, 2, noise)
+        report = common_points_picking(oracle, LearnerConfig(delta=0.1, perm_choice="cyclic"))
+        assert report.stopped_naturally
+        cached = oracle._means
+        assert set(cached) == prefixes and len(cached) <= n * n
+        for S, mean in cached.items():
+            if noise == "bernoulli":  # ready for numpy's binomial: a 0-d float64 array
+                assert type(mean) is np.ndarray and mean.shape == () and mean.dtype == np.float64
+            else:  # ready for operator.mul: a Python float
+                assert type(mean) is float
+            assert float(mean) == float(game.mu[S])
+
+
+def test_an_advance_hands_every_draw_the_same_ready_count():
+    """numpy's binomial converts a Python scalar argument to an array on every
+    call; a 0-d array of its dtype it takes as it is.  One advance converts its
+    count once, and each mean was converted once, when first queried."""
+    oracle = RewardOracle(gen_weighted_game(3, 1), 5)
+    draw, calls = oracle._draw, []
+
+    def recording(k, mean):
+        calls.append((k, mean))
+        return draw(k, mean)
+
+    oracle._draw = recording
+    chains = [prefix_coalitions(w) for w in resolve_permutations("adjacent", 3)]
+    run_epochs(oracle, chains, 1000)
+    assert len(calls) == 9
+    count = calls[0][0]
+    assert all(k is count for k, _ in calls)
+    assert count.dtype == np.int64 and int(count) == 1000
+    for arg in itertools.chain.from_iterable(calls):
+        assert type(arg) is np.ndarray and arg.shape == ()
 
 
 def index_of(perms):
@@ -595,6 +624,37 @@ def test_weighted_runs_match_one_check_per_epoch(noise):
         for choice in ("adjacent", "cyclic"):
             config = LearnerConfig(delta=0.1, perm_choice=choice)
             assert_matches_reference(gen_weighted_game(n, n), 60 + n, config, noise)
+
+
+RUN_GRID_SHA256 = "59483af56e8b638beb0f7c0fb6aac64a4044be5b30fcaec576a83f1ee5c05004"
+
+
+def test_a_grid_of_runs_keeps_its_digest():
+    """One sha256 over the reports of 96 fixed runs pins every output byte.
+
+    The grid: n 2..6 and 10; a strictly convex game at the default cap and
+    the unit game capped at 1, 65 and 5000 epochs; adjacent and cyclic
+    permutations; both noise models.  Each run adds its epochs, bonus, stop
+    flag, ``total_queries``, samples, the final bit-generator state and the
+    estimate bytes.  A speedup leaves the digest as it is.  ROADMAP items 5
+    and 9 change the outputs on purpose, and each edits this digest when it
+    declares its regeneration.
+    """
+    digest = hashlib.sha256()
+    seed = itertools.count()
+    for n in (2, 3, 4, 5, 6, 10):
+        runs = [(gen_strictly_convex(n, n), DEFAULT_MAX_EPOCHS)]
+        runs += [(gen_unit_game(n), cap) for cap in (1, 65, 5000)]
+        for (game, cap), choice, noise in itertools.product(
+                runs, ("adjacent", "cyclic"), ("bernoulli", "none")):
+            oracle = RewardOracle(game, next(seed), noise)
+            report = common_points_picking(
+                oracle, LearnerConfig(delta=0.1, perm_choice=choice, max_epochs=cap))
+            fields = (report.epochs, report.bonus, report.stopped_naturally,
+                      oracle.total_queries, report.samples, oracle.rng.bit_generator.state)
+            digest.update(repr(fields).encode())
+            digest.update(report.estimates.tobytes())
+    assert digest.hexdigest() == RUN_GRID_SHA256
 
 
 @pytest.mark.parametrize("n", range(3, 7))

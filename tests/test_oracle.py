@@ -3,6 +3,7 @@ import pytest
 
 from core_picker.games import GameSpec, gen_strictly_convex, gen_unit_game
 from core_picker.oracle import RewardOracle
+from support import gen_weighted_game
 
 
 def small_game(values):
@@ -57,6 +58,51 @@ def test_assigning_a_saved_state_rewinds_draws_and_count(noise):
     assert oracle.total_queries == 5
     assert [oracle.query_sum(S, k) for S, k in ((1, 7), (3, 1000), (2, 1))] == first
     assert oracle.total_queries == count
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "none"])
+def test_query_sums_equal_plain_numpy_draws(noise):
+    """The sums are those of numpy called with Python scalars, whatever form
+    the oracle hands numpy its arguments in: the stream, the values, their
+    types and the final bit-generator state."""
+    game = gen_weighted_game(4, 5)
+    oracle, rng = RewardOracle(game, 17, noise), np.random.default_rng(17)
+    coalitions = [1, 3, 7, 15, 0, 2, 6, 14, 15, 1]  # repeats, the empty and the grand coalition
+    queries = 0
+    for k in (0, 1, 10**6, 2**63 - 1):
+        for S in coalitions:
+            got = oracle.query_sum(S, k)
+            if S == 0:  # free: no draw, no sample
+                assert type(got) is float and got == 0.0
+                continue
+            queries += k
+            mean = float(game.mu[S])
+            if noise == "bernoulli":
+                expected, kind = rng.binomial(k, mean), int  # binomial(0, p) draws nothing
+            else:
+                expected, kind = k * mean, float
+            assert got == expected, (S, k)
+            assert k == 0 or type(got) is kind  # a zero count may sum to 0 or 0.0
+    assert oracle.total_queries == queries
+    assert oracle.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "none"])
+def test_a_rejected_count_draws_and_counts_nothing(noise):
+    oracle = RewardOracle(small_game([0.3, 0.5, 0.8]), 4, noise)
+    oracle.query_sum(3, 2**63 - 1)
+    for last, k in ((2**63 - 1, 2**63), (2**63 - 1, -1), (3, 3.0), (3, 3.5), (3, "3"),
+                    (3, None), (3, np.float64(3.0)), (0, -1), (0, 0.0)):
+        oracle.query_sum(1, last)  # a float equal to the last count is still not a count
+        before = oracle.state
+        error = ValueError if isinstance(k, int) else TypeError
+        with pytest.raises(error):
+            oracle.query_sum(1, k)
+        assert oracle.state == before, k
+        assert type(oracle.total_queries) is int
+    counted = oracle.total_queries
+    assert oracle.query_sum(1, np.int64(5)) >= 0  # any integer type is a count
+    assert oracle.total_queries == counted + 5 and type(oracle.total_queries) is int
 
 
 def test_bernoulli_degenerate_mean_one():
