@@ -16,23 +16,24 @@ one.
 
 The rule is checked once per window, the scheduled check epochs in
 (2^j, 2^(j+1)].  The run saves the oracle's state and advances through the
-window, keeping each advance's n x n prefix sums as :func:`run_epochs`
-returns them.  One array build and one cumulative sum over the window's
-starting totals and those sums give the totals at every check epoch, by the
+window, extending one flat list with the n^2 prefix sums of each advance as
+:func:`run_epochs` returns them.  The window's stack holds its starting
+totals in row 0 and that list, converted once, in the rows after it; one
+cumulative sum in place then gives the totals at every check epoch, by the
 same additions in the same order as adding each advance to the totals in
 turn.  :func:`stopping_condition` then decides the whole window: a distance
 bound rules out the checks that cannot pass, and one stacked solve decides
-the rest.  If some epoch passes,
-the oracle is rewound to the saved state and the window's advances are
-replayed up to the first passing epoch, so the random stream, the sample
-count and the report are exactly those of checking epoch by epoch.  The
-price is the advances past the first passing epoch and their replay, at most
-one window's worth, once per run.  The windows are fixed before a run
-starts, by :func:`check_schedule`.
+the rest.  If some epoch passes, the oracle is rewound to the saved state
+and the window's advances are replayed up to the first passing epoch, so
+the random stream, the sample count and the report are exactly those of
+checking epoch by epoch.  The price is the advances past the first passing
+epoch and their replay, at most one window's worth, once per run.  The
+windows are fixed before a run starts, by :func:`check_schedule`, and only
+a decided window reads the oracle's state.
 
-A run's state is built once from the n permutations, as their prefix masks
-``chains`` and the gather ``index`` of their player ranks, plus one n x n
-array ``totals`` of summed prefix rewards.
+A run's state is built once from the n permutations, as the flat row-major
+list ``prefixes`` of their n^2 prefix masks and the gather ``index`` of their
+player ranks, plus one n x n array ``totals`` of summed prefix rewards.
 
 Each estimate is shifted onto the efficiency plane of the true mu(N), which
 treats mu(N) as known: ``oracle.mu_grand`` is, besides n, the one value the
@@ -112,15 +113,16 @@ class LearnerConfig:
         resolve_permutations(self.perm_choice, 2)  # rejects an unknown choice
 
 
-def run_epochs(oracle: RewardOracle, chains, k: int) -> list[list]:
-    """The sums of k more rewards of every prefix, as an n x n nested list.
+def run_epochs(oracle: RewardOracle, prefixes, k: int) -> list:
+    """The sums of k more rewards of every prefix, as one flat list.
 
-    Entry [p][i] sums the rewards of the (i+1)-th arrival prefix
-    ``chains[p][i]`` of permutation p.  The n^2 sums are drawn in row-major
-    order, one ``query_sum`` each; the caller adds them to its totals.
+    ``prefixes`` holds the n arrival prefixes of each permutation in turn, so
+    entry p * n + i sums the rewards of the (i+1)-th prefix of permutation p.
+    The n^2 sums are drawn in that row-major order, one ``query_sum`` each;
+    the caller adds them to its totals.
     """
     query_sum = oracle.query_sum
-    return [[query_sum(coalition, k) for coalition in chain] for chain in chains]
+    return [query_sum(coalition, k) for coalition in prefixes]
 
 
 def rank_index(ranks: np.ndarray) -> np.ndarray:
@@ -279,18 +281,22 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     """
     n = oracle.n
     perms = resolve_permutations(config.perm_choice, n)
-    chains = [prefix_coalitions(w) for w in perms]
+    prefixes = [S for w in perms for S in prefix_coalitions(w)]
     index = rank_index(np.array([w.ranks for w in perms]))
     totals = np.zeros((n, n))
     epoch = 0
     for window, bonuses in check_schedule(n, config.delta, config.max_epochs):
-        start, saved = epoch, oracle.state
-        advances = [totals]
+        if bonuses is not None:  # only a decided window can pass and rewind
+            start, saved = epoch, oracle.state
+        draws = []
         for target in window:
-            advances.append(run_epochs(oracle, chains, target - epoch))
+            draws += run_epochs(oracle, prefixes, target - epoch)
             epoch = target
+        stack = np.empty((len(window) + 1, n, n))
+        stack[0] = totals
+        stack.reshape(-1)[n * n:] = draws
         # row i + 1 is the totals at check i, added up one advance at a time
-        stack = np.cumsum(np.array(advances, dtype=np.float64), axis=0)
+        np.cumsum(stack, axis=0, out=stack)
         totals = stack[-1]
         if bonuses is None:  # no check in this window can pass
             continue
@@ -300,7 +306,7 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
             first = int(passed.argmax())
             oracle.state = saved  # replay up to the first pass, as if checked epoch by epoch
             for target in window[:first + 1]:
-                run_epochs(oracle, chains, target - start)
+                run_epochs(oracle, prefixes, target - start)
                 start = target
             return RunReport(estimates[first], window[first], bonuses[first], True)
     return RunReport(estimates[-1], epoch, bonuses[-1], False)

@@ -71,7 +71,8 @@ class RewardOracle:
 
         A Bernoulli sum comes back as the int numpy draws, a noise-free one
         as the float k mu(S).  A count must be an integer in 0..2**63 - 1,
-        numpy's binomial range; a rejected count draws and counts nothing.
+        numpy's binomial range, and a mask one of 0..2^n - 1; a rejected
+        count or mask draws and counts nothing.
         """
         if k is not self._count:  # a new count: checked and converted once per advance
             k = operator.index(k)
@@ -83,6 +84,8 @@ class RewardOracle:
         except KeyError:
             if S == 0:  # never cached, so the fast path needs no check for it
                 return 0.0
+            if not 0 < S < len(self._mu):  # mu[-1] would read mu(N)
+                raise ValueError(f"coalition mask must lie in 0..{len(self._mu) - 1}, not {S}")
             mean = self._means[S] = self._as_arg(float(self._mu[S]))
         self.total_queries += k
         return self._draw(self._count_arg, mean)

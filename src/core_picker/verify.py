@@ -29,7 +29,7 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     max_violation is the largest mu(S) - x(S) over proper nonempty S (positive
     means some coalition prefers to deviate), worst_coalition the first mask
     reaching it; the efficiency gap is |x(N) - mu(N)|.  Membership requires
-    both within tol.
+    both within tol.  An allocation must hold exactly n entries.
 
     The scan holds no 2^n array besides the game's own table.  It runs over
     blocks of 2^16 masks that share their high bits: a block starts from the
@@ -39,6 +39,8 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     """
     x = np.asarray(x, dtype=np.float64)
     n, mu = game.n, game.mu
+    if x.shape != (n,):
+        raise ValueError(f"allocation must have shape ({n},), not {x.shape}")
     low = min(n, _SCAN_BITS)
     low_sums = subset_sums(x[:low])
     size = low_sums.size

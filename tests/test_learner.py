@@ -97,11 +97,17 @@ def test_resolve_permutations_counts():
 # epochs
 
 
+def flat_prefixes(perms):
+    """The n^2 prefix masks of the permutations, row-major, as a run builds them."""
+    return [S for w in perms for S in prefix_coalitions(w)]
+
+
 def advance(oracle, perms, k, totals=None):
     """Prefix totals after k more epochs over the given permutations."""
+    n = len(perms)
     if totals is None:
-        totals = np.zeros((len(perms), len(perms)))
-    totals += run_epochs(oracle, [prefix_coalitions(w) for w in perms], k)
+        totals = np.zeros((n, n))
+    totals += np.reshape(run_epochs(oracle, flat_prefixes(perms), k), (n, n))
     return totals
 
 
@@ -115,14 +121,16 @@ def draw_row_major(totals, oracle, chains, k):
 @pytest.mark.parametrize("noise", ["bernoulli", "none"])
 @pytest.mark.parametrize("k", [1, 10**6, 2**63 - 1])
 def test_run_epochs_draws_row_major(noise, k):
-    chains = [prefix_coalitions(w) for w in resolve_permutations("cyclic", 4)]
+    perms = resolve_permutations("cyclic", 4)
+    chains = [prefix_coalitions(w) for w in perms]
     game = gen_weighted_game(4, 3)
     oracle, reference = RewardOracle(game, 21, noise), RewardOracle(game, 21, noise)
     totals, expected = np.zeros((4, 4)), np.zeros((4, 4))
     for _ in range(2):
-        sums = run_epochs(oracle, chains, k)  # an n x n nested list, added by the caller
-        assert len(sums) == 4 and all(type(row) is list and len(row) == 4 for row in sums)
-        totals += sums
+        sums = run_epochs(oracle, flat_prefixes(perms), k)  # flat, added by the caller
+        assert type(sums) is list and len(sums) == 16
+        assert not any(isinstance(s, list) for s in sums)
+        totals += np.reshape(sums, (4, 4))
         draw_row_major(expected, reference, chains, k)
     assert totals.tobytes() == expected.tobytes()
     assert oracle.total_queries == reference.total_queries == 2 * 16 * k
@@ -159,8 +167,7 @@ def test_an_advance_hands_every_draw_the_same_ready_count():
         return draw(k, mean)
 
     oracle._draw = recording
-    chains = [prefix_coalitions(w) for w in resolve_permutations("adjacent", 3)]
-    run_epochs(oracle, chains, 1000)
+    run_epochs(oracle, flat_prefixes(resolve_permutations("adjacent", 3)), 1000)
     assert len(calls) == 9
     count = calls[0][0]
     assert all(k is count for k, _ in calls)
@@ -711,6 +718,38 @@ def test_learner_sees_only_the_bandit(game, cap):
     assert (report.epochs, report.stopped_naturally) == (direct.epochs, direct.stopped_naturally)
     assert report.allocation.tobytes() == direct.allocation.tobytes()
     assert oracle.total_queries == report.samples
+    assert report.stopped_naturally == (cap > 5_000)
+
+
+class StateCountingView(BanditView):
+    """A bandit view that counts the reads and writes of the rewind state."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.reads = self.writes = 0
+
+    @property
+    def state(self):
+        self.reads += 1
+        return self._oracle.state
+
+    @state.setter
+    def state(self, value):
+        self.writes += 1
+        self._oracle.state = value
+
+
+@pytest.mark.parametrize("game, cap", [(gen_strictly_convex(3, 1), 10**12),
+                                       (gen_strictly_convex(6, 2), 10**12),
+                                       (gen_unit_game(3), 5_000)])
+def test_a_run_reads_the_state_once_per_decided_window_and_writes_it_on_a_pass(game, cap):
+    config = LearnerConfig(delta=0.1, max_epochs=cap)
+    view = StateCountingView(RewardOracle(game, seed=4))
+    report = common_points_picking(view, config)
+    decided = [window for window, bonuses in check_schedule(game.n, 0.1, cap)
+               if bonuses is not None and window[0] <= report.epochs]
+    assert decided and view.reads == len(decided)
+    assert view.writes == (1 if report.stopped_naturally else 0)
     assert report.stopped_naturally == (cap > 5_000)
 
 

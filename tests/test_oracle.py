@@ -105,6 +105,19 @@ def test_a_rejected_count_draws_and_counts_nothing(noise):
     assert oracle.total_queries == counted + 5 and type(oracle.total_queries) is int
 
 
+@pytest.mark.parametrize("noise", ["bernoulli", "none"])
+def test_a_mask_outside_the_table_draws_and_counts_nothing(noise):
+    # mu[-1] is mu(N): a negative mask used to be read as the grand coalition
+    oracle = RewardOracle(small_game([0.3, 0.5, 0.8]), 4, noise)
+    oracle.query_sum(3, 7)
+    for S in (-1, 4):  # 2^n at n = 2
+        before = oracle.state
+        with pytest.raises(ValueError, match="coalition mask must lie in 0..3"):
+            oracle.query_sum(S, 1000)
+        assert oracle.state == before, S
+    assert oracle.total_queries == 7
+
+
 def test_bernoulli_degenerate_mean_one():
     oracle = RewardOracle(small_game([0.2, 0.4, 1.0]), seed=7)
     assert all(oracle.query(3) == 1.0 for _ in range(50))

@@ -142,3 +142,12 @@ def test_shapley_inside_cyclic_vertex_simplex_of_permutahedron():
     game = gen_permutahedron(4)
     verts = [marginal_vector(game, w) for w in cyclic_permutations(4)]
     assert in_simplex(np.full(4, game.mu_grand / 4), verts)
+
+
+def test_an_allocation_of_the_wrong_length_is_rejected():
+    # sliced to its own length, a short x once passed with a zero efficiency gap
+    game = gen_strictly_convex(3, 0)
+    for x in ([0.5, 0.5], [0.25, 0.25, 0.25, 0.25], [[1 / 3] * 3], 1.0):
+        with pytest.raises(ValueError, match=r"allocation must have shape \(3,\)"):
+            core_membership(game, x)
+    assert core_membership(game, [1 / 3] * 3).efficiency_gap < 1e-15
