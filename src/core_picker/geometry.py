@@ -4,9 +4,10 @@ Everything lives in R^n but the interesting objects sit inside the efficiency
 hyperplane (coordinates summing to a common value), so separating hyperplanes
 are constrained to have sum-zero normals.
 
-Tolerances are centralized here: RANK_TOL for rank decisions on singular
-values and altitudes, MEMBERSHIP_TOL as slack for barycentric coordinates,
-UNIT_TOL for unit-norm checks.
+RANK_TOL decides ranks of singular values and altitudes, MEMBERSHIP_TOL is the
+slack of barycentric weights and UNIT_TOL that of unit norms; MAX_COORDINATE
+bounds the coordinates the solve accepts.  The stopping rule's slack,
+``learner.SKIP_SLACK``, lives beside the floor it loosens.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 RANK_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 UNIT_TOL = 1e-12
+MAX_COORDINATE = 1e12
 _BLOCK_DOUBLES = 1 << 20  # coordinate data simplex_width holds at once (8 MiB)
 
 
@@ -102,10 +104,14 @@ def separating_normals(points):
     gives ``(normals, altitudes)`` of shapes (..., n, n) and (..., n).  A set
     that is affinely degenerate within RANK_TOL has NaN normals and
     altitudes.  When some set is exactly singular the stacked inverse fails
-    as a whole, so the sets are then inverted one by one.
+    as a whole, so the sets are then inverted one by one.  A coordinate above
+    MAX_COORDINATE in magnitude, inf included, raises ValueError: from about
+    1e13 on, the shift's added 1.0 is lost in rounding and the solve is noise.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[-1]
+    if np.logical_or.reduce(np.abs(pts) > MAX_COORDINATE, axis=None):  # NaN compares False
+        raise ValueError(f"coordinates must lie within {MAX_COORDINATE:g} in magnitude")
     # the means, column norms and all() are spelled as the ufunc reductions
     # that numpy's wrappers compute, bit for bit, without the wrappers' cost
     shifted = pts - np.add.reduce(pts, axis=-1, keepdims=True) / n + 1.0

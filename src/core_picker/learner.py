@@ -7,33 +7,15 @@ vertex can be separated from the others by a hyperplane inside the efficiency
 plane with clearance large relative to the confidence radius; the returned
 allocation is the average of the estimates.
 
-Epochs are advanced in batches between stopping checks (the oracle sums whole
-batches of rewards at once), with check epochs spaced geometrically.  This
-leaves the sampling distribution untouched and makes runs needing billions of
-samples take milliseconds; the reported epoch is the first checked epoch at
-which the stopping condition held, at most ``CHECK_GROWTH`` times the exact
-one.
+Epochs are advanced in batches between checks (the oracle sums whole batches
+at once), with check epochs spaced geometrically: the sampling distribution is
+untouched, and a reported epoch is at most ``CHECK_GROWTH`` times the exact
+one.  The checks of a window of :func:`check_schedule` are decided together;
+when one passes, the oracle is rewound and replayed up to it, so the random
+stream, the sample count and the report are those of checking every epoch.
 
-The rule is checked once per window, the scheduled check epochs in
-(2^j, 2^(j+1)].  The run saves the oracle's state and advances through the
-window, extending one flat list with the n^2 prefix sums of each advance as
-:func:`run_epochs` returns them.  The window's stack holds its starting
-totals in row 0 and that list, converted once, in the rows after it; one
-cumulative sum in place then gives the totals at every check epoch, by the
-same additions in the same order as adding each advance to the totals in
-turn.  :func:`stopping_condition` then decides the whole window: a distance
-bound rules out the checks that cannot pass, and one stacked solve decides
-the rest.  If some epoch passes, the oracle is rewound to the saved state
-and the window's advances are replayed up to the first passing epoch, so
-the random stream, the sample count and the report are exactly those of
-checking epoch by epoch.  The price is the advances past the first passing
-epoch and their replay, at most one window's worth, once per run.  The
-windows are fixed before a run starts, by :func:`check_schedule`, and only
-a decided window reads the oracle's state.
-
-A run's state is built once from the n permutations, as the flat row-major
-list ``prefixes`` of their n^2 prefix masks and the gather ``index`` of their
-player ranks, plus one n x n array ``totals`` of summed prefix rewards.
+A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
+the rank gather ``index`` and one n x n array ``totals`` of prefix sums.
 
 Each estimate is shifted onto the efficiency plane of the true mu(N), which
 treats mu(N) as known: ``oracle.mu_grand`` is, besides n, the one value the
@@ -118,8 +100,7 @@ def run_epochs(oracle: RewardOracle, prefixes, k: int) -> list:
 
     ``prefixes`` holds the n arrival prefixes of each permutation in turn, so
     entry p * n + i sums the rewards of the (i+1)-th prefix of permutation p.
-    The n^2 sums are drawn in that row-major order, one ``query_sum`` each;
-    the caller adds them to its totals.
+    The n^2 sums are drawn in that row-major order, one ``query_sum`` each.
     """
     query_sum = oracle.query_sum
     return [query_sum(coalition, k) for coalition in prefixes]
@@ -154,78 +135,74 @@ def vertex_estimates(totals: np.ndarray, epochs, index: np.ndarray,
     return estimates
 
 
-def stopping_condition(estimates, bonus):
-    """Whether every estimated vertex clears its separating hyperplane.
+def min_pass_altitude(n: int, bonus, l1):
+    """The least altitude at which a vertex passes the stopping rule, for
+    ``l1`` the 1-norm of its unit facet normal v.
 
-    With margin eps = 2 sqrt(n) * bonus, the hyperplane through the other
-    points shifted by eps toward x^p must clear the confidence box around x^p
-    by at least n * eps: altitude_p - eps - bonus * ||v_p||_1 >= n * eps for
-    the unit facet normal v_p.  Degenerate estimates (NaN altitudes) fail.
+    With margin eps = 2 sqrt(n) bonus, the plane through the other estimates,
+    shifted by eps toward the vertex, must clear its confidence box of radius
+    ``bonus``, which reaches bonus ||v||_1 along v, by n eps: altitude - eps -
+    bonus ||v||_1 >= n eps.  A lower bound on ||v||_1 gives a lower floor.
+    """
+    return bonus * (2.0 * math.sqrt(n) * (n + 1) + l1)
+
+
+SKIP_SLACK = 1e-9  # relative slack of the floors that skip checks, for their rounding
+
+
+def stopping_condition(estimates, bonus):
+    """Whether every estimated vertex x^p clears its separating hyperplane:
+    its altitude is at least :func:`min_pass_altitude` of the 1-norm of its
+    unit facet normal v_p from :func:`separating_normals`.
 
     Most checks are decided False before any solve, by a distance bound.  Let
-    r be the distance from the mean of the n estimates to the estimate nearest
-    it, x^p.  The altitude of x^p is at most its distance to the centroid of
-    the other n - 1 estimates, which lies on the opposite facet, and that
-    distance is n/(n-1) ||x^p - mean|| = n/(n-1) r.  The solve first moves
-    each row along the all-ones direction onto the plane of coordinate sum n;
-    that is an orthogonal projection, which keeps centroids and lengthens no
-    distance, so the bound holds for the altitudes the solve measures even
-    when the estimates lie on different planes.  A pass needs altitude_p >=
-    bonus (2 sqrt(n) (n+1) + ||v_p||_1), so a check with
-    n r < (n-1) bonus (2 sqrt(n) (n+1) + 1) cannot pass.  This is
-    :func:`stop_bonus_ceiling`'s argument with the estimates' own spread in
-    place of the worst-case diameter.
-
-    The floor takes ||v_p||_1 >= ||v_p||_2 = 1, which any computed unit
-    vector meets, whatever rounding did to its zero sum, rather than the
-    sqrt(2) of an exact sum-zero normal.  The (sqrt(2) - 1) bonus it gives up
-    is at least 0.2% of the floor for n <= 20 and absorbs the solve's rounding
-    of the altitudes: on random sets at n = 2..20 with coordinates up to
-    1e12 in magnitude, no computed altitude exceeded n/(n-1) r by more than
-    1e-4 relative.  The relative slack of 1e-9 covers the few ulps of
-    rounding in r and in the floor.  Past about 1e13 the shift onto
-    coordinate sum n is lost in rounding, the solve's altitudes are noise,
-    and the bound can decide False where a solve would have said True.
+    r be the distance from the estimates' mean to the nearest estimate, x^p.
+    Its altitude is at most its distance n/(n-1) r to the centroid of the
+    others, which lies on the opposite facet; the solve's move of each row
+    along the all-ones direction onto coordinate sum n is an orthogonal
+    projection, which keeps centroids and lengthens no distance, so this holds
+    for the altitudes it measures, rows on different planes included.  So a
+    check with n r below n - 1 times the floor at ||v_p||_1 = 1, less
+    ``SKIP_SLACK`` for rounding in r and the floor, cannot pass.  Any computed
+    unit vector has ||v_p||_1 >= 1, whatever rounding did to its zero sum; the
+    (sqrt(2) - 1) bonus given up against an exact sum-zero normal, at least
+    0.2% of the floor for n <= 20, absorbs the solve's rounding of the
+    altitudes on the coordinates :func:`separating_normals` accepts.
 
     A (..., n, n) stack of estimates with a matching stack of bonuses gives a
     boolean array of that shape.  The checks the bound leaves are decided in
     one stacked solve; the solve and every reduction work one set at a time,
-    so each boolean is the one a solve of every check gives.  NaN or infinite
-    estimates fail.
+    so each boolean is the one a solve of every check gives.  Degenerate sets
+    (NaN altitudes) and NaN or infinite estimates fail.
     """
     points = np.asarray(estimates, dtype=np.float64)
     n = points.shape[-1]
     bonus = np.asarray(bonus, dtype=np.float64)
-    root = 2.0 * math.sqrt(n)
     offsets = points - np.add.reduce(points, axis=-2, keepdims=True) / n
     nearest = np.sqrt(np.minimum.reduce(np.add.reduce(offsets * offsets, axis=-1), axis=-1))
-    solve = nearest >= bonus * ((n - 1) / n * (root * (n + 1) + 1.0) * (1.0 - 1e-9))
+    skip = min_pass_altitude(n, 1.0, 1.0) * ((n - 1) / n * (1.0 - SKIP_SLACK))  # linear in bonus
+    solve = nearest >= bonus * skip
     passed = np.zeros(solve.shape, dtype=bool)
     if solve.any():
         normals, altitudes = separating_normals(points[solve])
         bonus = np.broadcast_to(bonus, solve.shape)[solve][:, None]
-        eps = root * bonus
-        clearance = altitudes - eps - bonus * np.abs(normals).sum(axis=-1)
-        passed[solve] = np.logical_and.reduce(clearance >= n * eps, axis=-1)
+        floor = min_pass_altitude(n, bonus, np.abs(normals).sum(axis=-1))
+        passed[solve] = np.logical_and.reduce(altitudes >= floor, axis=-1)
     return passed[()]  # a single set gives a numpy bool, not a 0-d array
 
 
 def stop_bonus_ceiling(n: int) -> float:
     """The largest bonus at which :func:`stopping_condition` can pass on n
-    estimates built from rewards in [0, 1]: 2 sqrt(n) / (2 sqrt(n) (n+1) + sqrt(2)).
+    estimates built from rewards in [0, 1].
 
-    Every by-rank mean is a difference of two running means in [0, 1], so it
-    lies in [-1, 1]; projecting onto the efficiency plane shortens distances,
-    so two estimates are at most 2 sqrt(n) apart, and no altitude exceeds
-    2 sqrt(n).  A vertex passes only with altitude >= (n+1) 2 sqrt(n) b +
-    b ||v||_1, and a unit sum-zero normal v has ||v||_1 >= sqrt(2) (its
-    positive and negative parts each sum to at least 1/sqrt(2)).  The bound
-    is exact at n = 2, where (1, -1) and (-1, 1) pass at any b <= 2/7.
-    :func:`stopping_condition` applies the same argument to each check, with
-    the estimates' own spread in place of the diameter 2 sqrt(n).
+    By-rank means, differences of means in [0, 1], lie in [-1, 1], and the
+    projection onto the efficiency plane shortens distances, so no altitude
+    exceeds 2 sqrt(n).  A unit sum-zero normal has 1-norm at least sqrt(2) (its
+    positive and negative parts each sum to at least 1/sqrt(2)), so the
+    ceiling is the bonus at which :func:`min_pass_altitude` at sqrt(2) reaches
+    2 sqrt(n).  It is exact at n = 2: (1, -1) and (-1, 1) pass up to 2/7.
     """
-    root = 2.0 * math.sqrt(n)
-    return root / (root * (n + 1) + math.sqrt(2.0))
+    return 2.0 * math.sqrt(n) / min_pass_altitude(n, 1.0, math.sqrt(2.0))
 
 
 @functools.lru_cache
@@ -233,21 +210,18 @@ def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
     """A run's checks as ``(epochs, bonuses)`` pairs, one per window (2^j, 2^(j+1)].
 
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
-    ``CHECK_GROWTH``, and the last one is ``max_epochs``.  Early windows are
-    skipped undecided, with ``bonuses`` None.  No check passes while the bonus
-    exceeds ``stop_bonus_ceiling(n)`` (derived there), and the bonus falls with
-    the epoch from epoch 2 on, so a window whose last check still has a larger
-    bonus (by a relative slack, for rounding in the solve) cannot stop.  Such a
-    window draws through the same loop as a decided one and stops before the
-    estimates: it computes none and makes no stopping test.  The window ending
-    at the epoch cap is always decided, since the report needs its estimates.
-    Runs share the cached schedule, so it is made of tuples.
+    ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The bonus falls with
+    the epoch from epoch 2 on, so a window whose last bonus exceeds
+    :func:`stop_bonus_ceiling` by more than ``SKIP_SLACK`` cannot stop: it
+    gets ``bonuses`` None, and the run draws through it without estimates or
+    a stopping test.  The window ending at the epoch cap is always decided, for
+    the report's estimates.  Runs share the cached schedule, made of tuples.
     """
     windows, t = {}, 0
     while t < max_epochs:
         t = min(t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH)), max_epochs)
         windows.setdefault((t - 1).bit_length(), []).append(t)
-    ceiling = stop_bonus_ceiling(n) * (1.0 + 1e-9)
+    ceiling = stop_bonus_ceiling(n) * (1.0 + SKIP_SLACK)
     schedule = []
     for window in windows.values():
         bonuses = tuple(confidence_bonus(t, n, delta) for t in window)

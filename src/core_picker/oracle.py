@@ -10,24 +10,14 @@ its sufficient statistic (a binomial for Bernoulli noise), which is what makes
 million-epoch simulations affordable; the distribution of everything the
 learner computes from the sums is identical to drawing rewards one by one.
 
-The sampler is bound once per oracle, and each coalition's mean is read from
-the table once, into a cache of the coalitions queried so far: at most n^2
-for a learner run, where the whole 2^n table as a Python list would add about
-32 MiB at n = 20.  numpy's scalar binomial turns each argument into an array
-before it reads it as a C number, and takes an array that already has the
-dtype it wants as it is.  So for Bernoulli noise the cache holds each mean as
-a 0-d float64 array, and a count is checked and turned into a 0-d int64 array
-only when it is not the object of the previous call: ``run_epochs`` passes one
-count object to all n^2 calls of an advance.  That cut one draw from about
-590 to 460 ns, and a prefix sum of ``run_epochs`` at n = 10 from about 830 to
-705 ns (one core of a shared 2-core x86-64 host, Python 3.11, numpy 2.4).  A
-call then pays for one identity test, one dict read, one add to the sample
-count and one scalar draw, which numpy returns as a Python int.  Noise-free
-sums keep Python scalars, on which ``operator.mul`` is fastest.  The learner
-makes one public call per prefix sum on purpose: the benchmark pins n^2 calls
-per epoch advance, and the draws stay one per call until it stops pinning
-that count (ROADMAP item 2, whose one draw per window replaces this cache,
-waits on item 1).
+The sampler is bound once per oracle, and each mean is read from the table
+once, into a cache of the coalitions queried (at most n^2 for a learner run,
+never a 2^n list).  numpy's scalar binomial converts each argument into an
+array on every call unless it already is one of the dtype it wants, so for
+Bernoulli noise the cached means are 0-d float64 arrays, and a count becomes
+a 0-d int64 array once per advance, whose n^2 calls share one count object.
+The learner makes one call per prefix sum because the benchmark pins n^2
+calls per advance (ROADMAP item 2, one draw per window, waits on item 1).
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from core_picker.games import (
     marginal_vector,
 )
 from core_picker.geometry import (
+    MAX_COORDINATE,
     ConfidenceBox,
     DegenerateSimplexError,
     Hyperplane,
@@ -262,6 +263,25 @@ def test_separating_normals_match_the_numpy_wrapper_reference_bytes(n):
         assert normals.tobytes() == expected_normals.tobytes()
         assert altitudes.tobytes() == expected_altitudes.tobytes()
     assert np.isnan(altitudes[[0, 2]]).all() and not np.isnan(altitudes[[1, 3]]).any()
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e14, 1e15, 1e16])
+def test_coordinates_past_the_solves_domain_are_rejected(scale):
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 10, 20):
+        small = rng.random((3, n, n))
+        large = small.copy()
+        large[1] *= scale
+        with pytest.raises(ValueError, match="coordinates"):
+            separating_normals(large)
+        with pytest.raises(ValueError, match="coordinates"):
+            fit_separating_hyperplane(large[1], 0, 0.0)
+        edge = small * MAX_COORDINATE
+        edge[0, 0, 0], edge[2, 0, 0] = np.nan, MAX_COORDINATE  # both are accepted
+        assert np.isnan(separating_normals(edge)[1][0]).all()
+        edge[2, 0, 0] = np.inf  # rejected, also beside a NaN
+        with pytest.raises(ValueError, match="coordinates"):
+            separating_normals(edge)
 
 
 def test_two_points_separate_in_the_plane():

@@ -2,9 +2,12 @@
 reaches: a public name that only unit tests use belongs in ``tests/support.py``,
 a private name that nothing else in ``src/`` reads is dead, and a defaulted
 parameter that no call passes is a knob nobody turns.  The learner reads no
-game table, only the n and mu(N) its oracle exposes."""
+game table, only the n and mu(N) its oracle exposes.  Docstrings keep
+derivations; a timing, host or version goes stale with the next change, so it
+belongs in CHANGES.md."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,3 +106,17 @@ def test_learner_reads_the_game_only_through_n_and_mu_grand():
     tree = ast.parse((ROOT / "src" / "core_picker" / "learner.py").read_text())
     names = used_names(tree) | {a.name for a in ast.walk(tree) if isinstance(a, ast.alias)}
     assert names & {"game", "mu", "_mu", "GameSpec"} == set()
+
+
+MEASUREMENT = re.compile(r"\d\s*(?:ns|µs|us)\b|x86|Python 3\.|numpy 2\.")
+
+
+def test_no_docstring_in_src_quotes_a_measurement():
+    quoted = []
+    for path in sorted((ROOT / "src" / "core_picker").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                found = MEASUREMENT.search(ast.get_docstring(node) or "")
+                if found:
+                    quoted.append(f"{path.name}:{getattr(node, 'name', 'module')}: {found.group()}")
+    assert quoted == []

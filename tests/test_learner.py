@@ -393,6 +393,32 @@ def test_bonus_ceiling_is_exact_for_two_players():
     assert not stopping_condition([pair], [stop_bonus_ceiling(2) * (1 + 1e-9)]).any()
 
 
+@pytest.mark.parametrize("scale", [1e13, 1e14, 1e15, 1e16])
+def test_a_solve_past_the_coordinate_domain_raises_and_a_skip_does_not(monkeypatch, scale):
+    basis = scale / np.sqrt(2) * np.eye(3)  # pairwise distance scale
+    solved = count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="coordinates"):
+        stopping_condition(basis, 1e-4)
+    assert not stopping_condition([basis], [scale]).any()  # decided by the distance bound
+    assert solved == [1]
+
+
+def test_one_pass_floor_sets_the_clearance_the_distance_bound_and_the_ceiling(monkeypatch):
+    for n in range(2, 21):  # bit for bit the closed form
+        assert stop_bonus_ceiling(n) == 2 * math.sqrt(n) / (2 * math.sqrt(n) * (n + 1) + math.sqrt(2))
+    # side 10: the clearance passes up to bonus 0.559, and the bound solves up to 0.583
+    basis = 10 / np.sqrt(2) * np.eye(3)
+    bonuses = [0.52, 0.55]
+    solved = count_solves(monkeypatch)
+    ceiling, passed = stop_bonus_ceiling(3), stopping_condition([basis, basis], bonuses)
+    floor = learner.min_pass_altitude
+    monkeypatch.setattr(learner, "min_pass_altitude", lambda n, bonus, l1: 1.1 * floor(n, bonus, l1))
+    assert stop_bonus_ceiling(3) == pytest.approx(ceiling / 1.1, rel=1e-12)
+    assert passed.tolist() == [True, True]
+    assert stopping_condition([basis, basis], bonuses).tolist() == [False, False]
+    assert solved == [2, 1]  # the raised floor skips the check at 0.55 and fails the one at 0.52
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
