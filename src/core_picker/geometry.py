@@ -5,64 +5,25 @@ hyperplane (coordinates summing to a common value), so separating hyperplanes
 are constrained to have sum-zero normals.
 
 RANK_TOL decides ranks of singular values and altitudes, MEMBERSHIP_TOL is the
-slack of barycentric weights and UNIT_TOL that of unit norms; MAX_COORDINATE
-bounds the coordinates the solve accepts.  The stopping rule's slack,
-``learner.SKIP_SLACK``, lives beside the floor it loosens.
+slack of barycentric weights and HULL_TOL the relative residual allowed off
+their affine hull; MAX_COORDINATE bounds the coordinates the solve accepts.
+The stopping rule's slack, ``learner.SKIP_SLACK``, lives beside the floor it
+loosens.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 RANK_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
-UNIT_TOL = 1e-12
+HULL_TOL = 1e-8
 MAX_COORDINATE = 1e12
 _BLOCK_DOUBLES = 1 << 20  # coordinate data simplex_width holds at once (8 MiB)
 
 
 class DegenerateSimplexError(ValueError):
     """The vertex set is affinely degenerate where a proper simplex is required."""
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Hyperplane {x : <normal, x> = offset} with a unit, sum-zero normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        v = np.array(self.normal, dtype=np.float64)  # own copy, frozen below
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-            raise ValueError("hyperplane normal must be a unit vector")
-        if abs(v.sum()) > 1e-10:
-            raise ValueError("hyperplane normal must sum to zero")
-        v.flags.writeable = False
-        object.__setattr__(self, "normal", v)
-
-
-@dataclass(frozen=True)
-class ConfidenceBox:
-    """L-infinity ball of the given radius around an estimated vertex."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("box radius must be nonnegative")
-        c = np.array(self.center, dtype=np.float64)  # own copy, frozen below
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
-
-    @property
-    def euclidean_diameter(self) -> float:
-        """Diameter of the full L-infinity ball, 2 r sqrt(n); an upper bound
-        for the slice inside the efficiency hyperplane."""
-        return 2.0 * self.radius * np.sqrt(len(self.center))
 
 
 def simplex_width(points) -> float:
@@ -75,9 +36,9 @@ def simplex_width(points) -> float:
     matrix, if larger); blocking changes no matrix's bytes, so not the width.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if pts.ndim != 2 or n < 2:
+    if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError(f"simplex width needs at least two points, got shape {pts.shape}")
+    n = pts.shape[0]
     step = max(1, _BLOCK_DOUBLES // max(1, pts.shape[1] * (n - 1)))
     cols = np.arange(n - 1)
     width = np.inf
@@ -104,11 +65,14 @@ def separating_normals(points):
     gives ``(normals, altitudes)`` of shapes (..., n, n) and (..., n).  A set
     that is affinely degenerate within RANK_TOL has NaN normals and
     altitudes.  When some set is exactly singular the stacked inverse fails
-    as a whole, so the sets are then inverted one by one.  A coordinate above
-    MAX_COORDINATE in magnitude, inf included, raises ValueError: from about
-    1e13 on, the shift's added 1.0 is lost in rounding and the solve is noise.
+    as a whole, so the sets are then inverted one by one.  A stack whose last
+    two axes differ raises ValueError, and so does a coordinate above
+    MAX_COORDINATE in magnitude, inf included: from about 1e13 on, the
+    shift's added 1.0 is lost in rounding and the solve is noise.
     """
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim < 2 or pts.shape[-2] != pts.shape[-1]:
+        raise ValueError(f"points must form a (..., n, n) stack, got shape {pts.shape}")
     n = pts.shape[-1]
     if np.logical_or.reduce(np.abs(pts) > MAX_COORDINATE, axis=None):  # NaN compares False
         raise ValueError(f"coordinates must lie within {MAX_COORDINATE:g} in magnitude")
@@ -133,8 +97,9 @@ def _inverse_or_nan(matrix: np.ndarray) -> np.ndarray:
         return np.full_like(matrix, np.nan)
 
 
-def fit_separating_hyperplane(points, p: int, eps: float) -> Hyperplane | None:
-    """Hyperplane through the points other than x^p, shifted by eps toward x^p.
+def fit_separating_hyperplane(points, p: int, eps: float) -> tuple[np.ndarray, float] | None:
+    """The hyperplane {x : <v, x> = offset} through the points other than x^p,
+    shifted by eps toward x^p, as the pair ``(v, offset)``.
 
     The normal v is row p of :func:`separating_normals`: a unit sum-zero
     vector with <v, x^q> at a common level L for all q != p and
@@ -142,25 +107,29 @@ def fit_separating_hyperplane(points, p: int, eps: float) -> Hyperplane | None:
     points are degenerate (NaN altitude), i.e. no separation exists.
     """
     pts = np.asarray(points, dtype=np.float64)
+    normals, altitudes = separating_normals(pts)  # checks the shape first
     n = pts.shape[0]
     if not 0 <= p < n:
         raise ValueError(f"index {p} out of range for {n} points")
-    normals, altitudes = separating_normals(pts)
     if np.isnan(altitudes[p]):
         return None
     level = float(normals[p] @ pts[p] + altitudes[p])
-    return Hyperplane(normal=normals[p], offset=level - eps)
+    return normals[p], level - eps
 
 
-def box_hyperplane_clearance(h: Hyperplane, box: ConfidenceBox) -> float:
-    """min of offset - <normal, x> over the L-infinity ball around the center.
+def box_hyperplane_clearance(plane, box) -> float:
+    """min of offset - <v, x> over the L-infinity ball of radius r >= 0
+    around c, for a plane ``(v, offset)`` and a box ``(c, r)``.
 
     The closed form offset - <v, c> - r ||v||_1 is exact over the whole ball
     and a conservative lower bound over the ball restricted to the efficiency
     hyperplane.  Positive means the box lies strictly on the near side.
     """
-    reach = box.radius * float(np.abs(h.normal).sum())
-    return h.offset - float(h.normal @ box.center) - reach
+    normal, offset = plane
+    center, radius = box
+    if radius < 0:
+        raise ValueError("box radius must be nonnegative")
+    return offset - float(normal @ center) - radius * float(np.abs(normal).sum())
 
 
 def mean_point(points) -> np.ndarray:
@@ -190,6 +159,6 @@ def in_simplex(x, vertices) -> bool:
         raise DegenerateSimplexError("vertices are affinely degenerate")
     residual = np.abs(system @ weights - rhs).max()
     scale = 1.0 + np.abs(rhs).max()
-    if residual > 1e-8 * scale:
+    if residual > HULL_TOL * scale:
         return False  # x is off the affine hull of the vertices
     return bool(np.all(weights >= -MEMBERSHIP_TOL))

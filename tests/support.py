@@ -1,24 +1,31 @@
 """Shared helpers for the test suite: independent geometric oracles and
 random configurations used by both the unit tests and the acceptance suite.
 
-Everything here is deliberately written against first principles (least
+The oracles ``coordinate_matrix``, ``simplex_altitudes``,
+``strict_convexity_margin``, ``reference_check_windows`` and
+``hyperplane_misses_some_box`` are written against first principles (least
 squares, direct enumeration) rather than through the package's own geometry
-paths, so the two sides can validate each other.
+paths, so the two sides can validate each other; ``reference_separating_normals``
+respells the solve with numpy's own wrappers.  ``meets_clearance_condition``
+and ``reference_stopping_condition`` go through the package's solve: they
+restate the stopping rule's conditions, not the geometry beneath them.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from core_picker.games import GameSpec
 from core_picker.geometry import (
     RANK_TOL,
-    ConfidenceBox,
     box_hyperplane_clearance,
     fit_separating_hyperplane,
     separating_normals,
 )
 from core_picker.learner import CHECK_DENSE_UNTIL, CHECK_GROWTH
+
+Box = namedtuple("Box", "center radius")  # L-infinity ball around an estimated vertex
 
 
 def gen_weighted_game(n: int, seed) -> GameSpec:
@@ -145,7 +152,7 @@ def sum_zero(v: np.ndarray) -> np.ndarray:
     return v - v.mean()
 
 
-def random_box_point(rng, box: ConfidenceBox) -> np.ndarray:
+def random_box_point(rng, box: Box) -> np.ndarray:
     """Uniform-ish point of the L-infinity ball intersected with the sum plane."""
     shift = sum_zero(rng.uniform(-box.radius, box.radius, size=len(box.center)))
     peak = np.abs(shift).max()
@@ -157,7 +164,7 @@ def random_box_point(rng, box: ConfidenceBox) -> np.ndarray:
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def random_box_corner(rng, box: ConfidenceBox) -> np.ndarray:
+def random_box_corner(rng, box: Box) -> np.ndarray:
     """Near-extreme point of the box inside the sum plane (sign-vector corner,
     recentred and rescaled to stay inside).
 
@@ -186,16 +193,17 @@ def cyclic_center_config(rng, n, jitter=0.05, radius_factor=None):
     if radius_factor is None:
         radius_factor = 1.0 / (10.0 * n ** 1.5)
     radius = simplex_altitudes(centers).min() * radius_factor
-    return centers, [ConfidenceBox(c, radius) for c in centers]
+    return centers, [Box(c, radius) for c in centers]
 
 
 def meets_clearance_condition(centers, boxes) -> bool:
     """The sufficient common-point condition: every separating hyperplane,
     offset by the largest other-box diameter, clears its box by more than
-    2n times that diameter."""
+    2n times that diameter, 2 r sqrt(n) for the full L-infinity ball (an
+    upper bound for its slice inside the efficiency hyperplane)."""
     n = len(boxes)
     for p in range(n):
-        others_diam = max(boxes[q].euclidean_diameter for q in range(n) if q != p)
+        others_diam = max(2.0 * boxes[q].radius * np.sqrt(n) for q in range(n) if q != p)
         plane = fit_separating_hyperplane(centers, p, others_diam)
         if plane is None:
             return False

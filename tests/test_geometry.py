@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    Box,
     coordinate_matrix,
     cyclic_center_config,
     hyperplane_misses_some_box,
@@ -28,9 +29,7 @@ from core_picker.games import (
 )
 from core_picker.geometry import (
     MAX_COORDINATE,
-    ConfidenceBox,
     DegenerateSimplexError,
-    Hyperplane,
     box_hyperplane_clearance,
     fit_separating_hyperplane,
     in_simplex,
@@ -38,6 +37,7 @@ from core_picker.geometry import (
     separating_normals,
     simplex_width,
 )
+from core_picker.learner import stopping_condition
 
 
 def permutahedron_vertices(n, perms):
@@ -139,7 +139,7 @@ def test_simplex_width_holds_one_block_at_a_time(monkeypatch):
 
 
 def test_simplex_width_needs_two_points():
-    for pts in (np.empty((0, 3)), np.ones((1, 3)), []):
+    for pts in (np.empty((0, 3)), np.ones((1, 3)), [], 5.0):
         with pytest.raises(ValueError, match="at least two points"):
             simplex_width(pts)
 
@@ -156,11 +156,11 @@ def test_simplex_width_permutation_invariant():
 
 
 def test_fit_hyperplane_standard_basis():
-    plane = fit_separating_hyperplane(np.eye(3), 0, 0.0)
+    normal, offset = fit_separating_hyperplane(np.eye(3), 0, 0.0)
     expected = np.array([-2.0, 1.0, 1.0]) / np.sqrt(6)
-    assert np.allclose(plane.normal, expected, atol=1e-12)
-    assert plane.offset == pytest.approx(1 / np.sqrt(6), abs=1e-12)
-    assert plane.normal @ np.eye(3)[0] < plane.offset
+    assert np.allclose(normal, expected, atol=1e-12)
+    assert offset == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+    assert normal @ np.eye(3)[0] < offset
 
 
 def test_fit_hyperplane_degenerate_point_on_hull():
@@ -184,13 +184,14 @@ def test_fit_hyperplane_construction_identity(seed, n):
     plane = fit_separating_hyperplane(pts, 1, eps)
     if plane is None:
         return
+    normal, offset = plane
     for q in range(n):
-        level = float(plane.normal @ pts[q])
+        level = float(normal @ pts[q])
         if q == 1:
-            assert level < plane.offset + eps
+            assert level < offset + eps
         else:
-            assert level - plane.offset == pytest.approx(eps, abs=1e-9)
-    assert abs(plane.normal.sum()) < 1e-10
+            assert level - offset == pytest.approx(eps, abs=1e-9)
+    assert abs(normal.sum()) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,16 +287,30 @@ def test_coordinates_past_the_solves_domain_are_rejected(scale):
 
 def test_two_points_separate_in_the_plane():
     pts = np.array([[0.2, 0.8], [0.7, 0.3]])
-    plane = fit_separating_hyperplane(pts, 0, 0.0)
-    assert plane is not None
-    assert plane.normal @ pts[0] < plane.normal @ pts[1]
+    normal, _ = fit_separating_hyperplane(pts, 0, 0.0)
+    assert normal @ pts[0] < normal @ pts[1]
 
 
-def test_hyperplane_validation():
-    with pytest.raises(ValueError):
-        Hyperplane(normal=np.array([1.0, 0.0]), offset=0.0)  # not sum-zero
-    with pytest.raises(ValueError):
-        Hyperplane(normal=np.array([1.0, -1.0]), offset=0.0)  # not unit
+def test_fit_hyperplane_rejects_an_index_outside_the_points():
+    # normals[-1] would silently read the last vertex's plane
+    pts = np.random.default_rng(4).random((3, 3))
+    for p in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            fit_separating_hyperplane(pts, p, 0.0)
+
+
+def test_a_set_that_is_not_n_points_in_r_n_is_rejected():
+    # a (4, 2) set used to fall into the singular-set fallback, which cut it
+    # into square blocks, and the stopping test passed it
+    pts = np.random.default_rng(0).random((4, 2))
+    for call in (lambda: separating_normals(pts),
+                 lambda: separating_normals(pts[None]),
+                 lambda: separating_normals(np.ones(3)),
+                 lambda: fit_separating_hyperplane(pts, 0, 0.0),
+                 lambda: fit_separating_hyperplane(5.0, 0, 0.0),
+                 lambda: stopping_condition(pts, 1e-6)):
+        with pytest.raises(ValueError, match=r"\(\.\.\., n, n\) stack"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +318,24 @@ def test_hyperplane_validation():
 
 
 def test_clearance_point_box():
-    plane = Hyperplane(np.array([1.0, -1.0]) / np.sqrt(2), offset=0.5)
-    box = ConfidenceBox(np.array([0.1, 0.3]), 0.0)
-    expected = 0.5 - float(plane.normal @ box.center)
+    plane = (np.array([1.0, -1.0]) / np.sqrt(2), 0.5)
+    box = Box(np.array([0.1, 0.3]), 0.0)
+    expected = 0.5 - float(plane[0] @ box.center)
     assert box_hyperplane_clearance(plane, box) == pytest.approx(expected, abs=1e-15)
 
 
 def test_clearance_center_on_plane():
     v = np.array([1.0, -1.0]) / np.sqrt(2)
     center = np.array([0.75, 0.25])
-    plane = Hyperplane(v, offset=float(v @ center))
-    box = ConfidenceBox(center, 0.2)
+    plane = (v, float(v @ center))
+    box = Box(center, 0.2)
     assert box_hyperplane_clearance(plane, box) == pytest.approx(-0.2 * np.abs(v).sum(), abs=1e-12)
+
+
+def test_clearance_rejects_a_negative_radius():
+    plane = (np.array([1.0, -1.0]) / np.sqrt(2), 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        box_hyperplane_clearance(plane, Box(np.array([0.1, 0.3]), -1e-3))
 
 
 def test_clearance_dominates_sampled_points():
@@ -323,11 +344,11 @@ def test_clearance_dominates_sampled_points():
         n = int(rng.integers(3, 6))
         v = sum_zero(rng.normal(size=n))
         v /= np.linalg.norm(v)
-        plane = Hyperplane(v, offset=float(rng.normal()))
-        box = ConfidenceBox(rng.random(n), float(rng.uniform(0.01, 0.3)))
-        clearance = box_hyperplane_clearance(plane, box)
+        offset = float(rng.normal())
+        box = Box(rng.random(n), float(rng.uniform(0.01, 0.3)))
+        clearance = box_hyperplane_clearance((v, offset), box)
         sampled = min(
-            plane.offset - float(plane.normal @ random_box_point(rng, box))
+            offset - float(v @ random_box_point(rng, box))
             for _ in range(10_000)
         )
         assert clearance <= sampled + 1e-12
@@ -426,7 +447,7 @@ def test_separation_emerges_when_no_hyperplane_pierces_all_boxes():
                 offset = float(rng.uniform(levels.min(), levels.max()))
                 assert hyperplane_misses_some_box(v, offset, boxes)
             for p in range(n):
-                diam = max(boxes[q].euclidean_diameter for q in range(n) if q != p)
+                diam = max(2.0 * boxes[q].radius * np.sqrt(n) for q in range(n) if q != p)
                 plane = fit_separating_hyperplane(centers, p, diam)
                 assert plane is not None
                 assert box_hyperplane_clearance(plane, boxes[p]) > 0
@@ -448,7 +469,7 @@ def test_common_point_follows_from_clearance_condition():
 def test_box_corners_match_the_generator_choice_draw(n):
     # random_box_corner's sign draw reproduces rng.choice([-1.0, 1.0]), so the
     # corner sets of the acceptance suite are those of the choice-based helper
-    box = ConfidenceBox(np.linspace(-1.0, 2.0, n), 0.25)
+    box = Box(np.linspace(-1.0, 2.0, n), 0.25)
     fast, reference = np.random.default_rng(n), np.random.default_rng(n)
     for _ in range(1000):
         shift = sum_zero(box.radius * reference.choice([-1.0, 1.0], size=n))
@@ -469,7 +490,7 @@ def test_no_common_point_when_hyperplane_pierces_all_boxes():
     base = np.array([2.0, 1.0, 0.0])
     centers = np.array([base + k * direction for k in range(n)])
     radius = 0.05
-    boxes = [ConfidenceBox(c, radius) for c in centers]
+    boxes = [Box(c, radius) for c in centers]
     x_star = mean_point(centers)
 
     side = sum_zero(np.cross(np.ones(3), direction))  # in-plane, across the line

@@ -2,9 +2,9 @@
 reaches: a public name that only unit tests use belongs in ``tests/support.py``,
 a private name that nothing else in ``src/`` reads is dead, and a defaulted
 parameter that no call passes is a knob nobody turns.  The learner reads no
-game table, only the n and mu(N) its oracle exposes.  Docstrings keep
-derivations; a timing, host or version goes stale with the next change, so it
-belongs in CHANGES.md."""
+game table, only the n and mu(N) its oracle exposes.  A tolerance is a named
+module constant, stated once.  Docstrings keep derivations; a timing, host or
+version goes stale with the next change, so it belongs in CHANGES.md."""
 
 import ast
 import re
@@ -120,3 +120,23 @@ def test_no_docstring_in_src_quotes_a_measurement():
                 if found:
                     quoted.append(f"{path.name}:{getattr(node, 'name', 'module')}: {found.group()}")
     assert quoted == []
+
+
+TOLERANCE = 1e-6  # a float literal of smaller magnitude, but not zero, is a tolerance
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def test_every_tolerance_in_src_is_a_named_module_constant():
+    # a bare 1e-10 in a function is a second copy of a tolerance, free to drift
+    unnamed = []
+    for path in sorted((ROOT / "src" / "core_picker").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(literal) for node in tree.body if isinstance(node, ast.Assign)
+                 and all(isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
+                         for t in node.targets)
+                 for literal in ast.walk(node.value)}
+        unnamed += [f"{path.name}:{node.lineno}: {node.value!r}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0 < abs(node.value) < TOLERANCE and id(node) not in named]
+    assert unnamed == []
