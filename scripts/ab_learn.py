@@ -13,7 +13,9 @@ alternating from round to round.  The process is pinned to one core and each
 block is timed in this thread's CPU time, so time spent waiting for the core
 is left out.  Every trial's output bytes and failure flag must be equal on
 both trees.  The last line gives the median ratio of the change's time to the
-parent's over the rounds, and how many rounds the change took less time.
+parent's over the rounds, how many rounds the change took less time, and the
+quartiles of each tree's block time in ms, so a ratio can be read against the
+parent's own spread.
 """
 
 import argparse
@@ -22,6 +24,8 @@ import os
 import statistics
 import sys
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -59,17 +63,21 @@ def main(argv=None):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     for cp in trees:
         workload.warm_up(cp, 0)
-    units, ratios = workload.units(0), []
+    units, blocks = workload.units(0), []  # (parent, change) CPU seconds per round
     for r in range(args.rounds):
         block = [next(units) for _ in workload.block]
         first = r % 2
         results = {i: timed_block(workload, trees[i], block) for i in (first, 1 - first)}
         if results[0][1] != results[1][1]:
             sys.exit(f"round {r}: the trees' outputs differ")
-        ratios.append(results[1][0] / results[0][0])
+        blocks.append((results[0][0], results[1][0]))
+    ratios = [change / parent for parent, change in blocks]
     won = sum(ratio < 1.0 for ratio in ratios)
+    parent, change = ("/".join(f"{q:.1f}" for q in np.percentile(t, (25, 50, 75)) * 1e3)
+                      for t in zip(*blocks))
     print(f"{args.workload}: median time ratio change/parent {statistics.median(ratios):.4f}, "
-          f"change won {won} of {len(ratios)} rounds")
+          f"change won {won} of {len(ratios)} rounds, "
+          f"block ms quartiles parent {parent} change {change}")
 
 
 if __name__ == "__main__":

@@ -51,6 +51,14 @@ def simplex_width(points) -> float:
     return width
 
 
+def point_stack(points) -> tuple[np.ndarray, int]:
+    """``points`` as a float64 (..., n, n) stack, and n; other shapes raise ValueError."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim < 2 or pts.shape[-2] != pts.shape[-1]:
+        raise ValueError(f"points must form a (..., n, n) stack, got shape {pts.shape}")
+    return pts, pts.shape[-1]
+
+
 def separating_normals(points):
     """Facet normals and altitudes of each simplex in a stack of n points.
 
@@ -70,10 +78,7 @@ def separating_normals(points):
     MAX_COORDINATE in magnitude, inf included: from about 1e13 on, the
     shift's added 1.0 is lost in rounding and the solve is noise.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim < 2 or pts.shape[-2] != pts.shape[-1]:
-        raise ValueError(f"points must form a (..., n, n) stack, got shape {pts.shape}")
-    n = pts.shape[-1]
+    pts, n = point_stack(points)
     if np.logical_or.reduce(np.abs(pts) > MAX_COORDINATE, axis=None):  # NaN compares False
         raise ValueError(f"coordinates must lie within {MAX_COORDINATE:g} in magnitude")
     # the means, column norms and all() are spelled as the ufunc reductions
@@ -106,9 +111,8 @@ def fit_separating_hyperplane(points, p: int, eps: float) -> tuple[np.ndarray, f
     <v, x^p> = L - altitude.  The offset is L - eps.  Returns None when the
     points are degenerate (NaN altitude), i.e. no separation exists.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    normals, altitudes = separating_normals(pts)  # checks the shape first
-    n = pts.shape[0]
+    pts, n = point_stack(points)
+    normals, altitudes = separating_normals(pts)
     if not 0 <= p < n:
         raise ValueError(f"index {p} out of range for {n} points")
     if np.isnan(altitudes[p]):

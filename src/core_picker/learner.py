@@ -10,9 +10,9 @@ allocation is the average of the estimates.
 Epochs are advanced in batches between checks (the oracle sums whole batches
 at once), with check epochs spaced geometrically: the sampling distribution is
 untouched, and a reported epoch is at most ``CHECK_GROWTH`` times the exact
-one.  The checks of a window of :func:`check_schedule` are decided together;
-when one passes, the oracle is rewound and replayed up to it, so the random
-stream, the sample count and the report are those of checking every epoch.
+one.  A window of :func:`check_schedule`, the first from epoch 1 on, is
+decided together; when a check passes, the oracle is rewound and replayed to
+it, so the random stream, samples and report are those of checking each epoch.
 
 A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
 the rank gather ``index`` and one n x n array ``totals`` of prefix sums.
@@ -37,8 +37,8 @@ from .games import (
     cyclic_permutations,
     prefix_coalitions,
 )
-from .geometry import mean_point, separating_normals
-from .oracle import RewardOracle
+from .geometry import mean_point, point_stack, separating_normals
+from .oracle import MAX_COUNT, RewardOracle
 
 DEFAULT_MAX_EPOCHS = 10**12
 CHECK_DENSE_UNTIL = 64  # check the stopping rule every epoch up to here
@@ -73,11 +73,8 @@ def resolve_permutations(choice: str, n: int) -> list[Permutation]:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Settings of one run.
-
-    ``perm_choice`` is a key of :data:`PERMUTATIONS`; ``max_epochs`` is at
-    most 2**63 - 1, numpy's largest binomial count.
-    """
+    """Settings of one run: ``perm_choice`` is a key of :data:`PERMUTATIONS`,
+    and ``max_epochs`` is at most :data:`oracle.MAX_COUNT`."""
 
     delta: float
     perm_choice: str = "adjacent"
@@ -90,7 +87,7 @@ class LearnerConfig:
             object.__setattr__(self, "max_epochs", operator.index(self.max_epochs))
         except TypeError:
             raise ValueError(f"max_epochs must be an integer, not {self.max_epochs!r}") from None
-        if not 1 <= self.max_epochs <= 2**63 - 1:
+        if not 1 <= self.max_epochs <= MAX_COUNT:
             raise ValueError("max_epochs must lie in 1..2**63 - 1")
         resolve_permutations(self.perm_choice, 2)  # rejects an unknown choice
 
@@ -169,14 +166,13 @@ def stopping_condition(estimates, bonus):
     0.2% of the floor for n <= 20, absorbs the solve's rounding of the
     altitudes on the coordinates :func:`separating_normals` accepts.
 
-    A (..., n, n) stack of estimates with a matching stack of bonuses gives a
-    boolean array of that shape.  The checks the bound leaves are decided in
-    one stacked solve; the solve and every reduction work one set at a time,
-    so each boolean is the one a solve of every check gives.  Degenerate sets
-    (NaN altitudes) and NaN or infinite estimates fail.
+    A (..., n, n) stack of estimates and a matching stack of bonuses give a
+    boolean array of that shape, and other shapes raise ValueError.  The checks
+    the bound leaves go to one stacked solve; it and every reduction work one
+    set at a time, so each boolean is what solving every check gives.
+    Degenerate sets (NaN altitudes) and NaN or infinite estimates fail.
     """
-    points = np.asarray(estimates, dtype=np.float64)
-    n = points.shape[-1]
+    points, n = point_stack(estimates)
     bonus = np.asarray(bonus, dtype=np.float64)
     offsets = points - np.add.reduce(points, axis=-2, keepdims=True) / n
     nearest = np.sqrt(np.minimum.reduce(np.add.reduce(offsets * offsets, axis=-1), axis=-1))
@@ -211,22 +207,23 @@ def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
 
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
     ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The bonus falls with
-    the epoch from epoch 2 on, so a window whose last bonus exceeds
-    :func:`stop_bonus_ceiling` by more than ``SKIP_SLACK`` cannot stop: it
-    gets ``bonuses`` None, and the run draws through it without estimates or
-    a stopping test.  The window ending at the epoch cap is always decided, for
-    the report's estimates.  Runs share the cached schedule, made of tuples.
+    the epoch, so a window whose last bonus exceeds :func:`stop_bonus_ceiling`
+    by more than ``SKIP_SLACK`` cannot stop.  Such windows are folded into the
+    first window, which ends with the first window that can stop or with the
+    cap; its checks above the ceiling all fail.  Runs share the cached
+    schedule, made of tuples.
     """
     windows, t = {}, 0
     while t < max_epochs:
         t = min(t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH)), max_epochs)
         windows.setdefault((t - 1).bit_length(), []).append(t)
     ceiling = stop_bonus_ceiling(n) * (1.0 + SKIP_SLACK)
-    schedule = []
+    schedule, epochs = [], []
     for window in windows.values():
-        bonuses = tuple(confidence_bonus(t, n, delta) for t in window)
-        cannot_stop = window[-1] < max_epochs and bonuses[-1] > ceiling
-        schedule.append((tuple(window), None if cannot_stop else bonuses))
+        epochs += window
+        if epochs[-1] == max_epochs or confidence_bonus(epochs[-1], n, delta) <= ceiling:
+            schedule.append((tuple(epochs), tuple(confidence_bonus(t, n, delta) for t in epochs)))
+            epochs = []
     return tuple(schedule)
 
 
@@ -260,8 +257,7 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     totals = np.zeros((n, n))
     epoch = 0
     for window, bonuses in check_schedule(n, config.delta, config.max_epochs):
-        if bonuses is not None:  # only a decided window can pass and rewind
-            start, saved = epoch, oracle.state
+        start, saved = epoch, oracle.state
         draws = []
         for target in window:
             draws += run_epochs(oracle, prefixes, target - epoch)
@@ -272,8 +268,6 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
         # row i + 1 is the totals at check i, added up one advance at a time
         np.cumsum(stack, axis=0, out=stack)
         totals = stack[-1]
-        if bonuses is None:  # no check in this window can pass
-            continue
         estimates = vertex_estimates(stack[1:], window, index, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():

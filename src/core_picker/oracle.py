@@ -29,6 +29,7 @@ import numpy as np
 from .games import Coalition, GameSpec
 
 NOISE_MODELS = ("bernoulli", "none")
+MAX_COUNT = 2**63 - 1  # numpy's largest binomial count
 
 
 class RewardOracle:
@@ -60,13 +61,13 @@ class RewardOracle:
         """Sum of k independent reward draws for S; counts k samples.
 
         A Bernoulli sum comes back as the int numpy draws, a noise-free one
-        as the float k mu(S).  A count must be an integer in 0..2**63 - 1,
-        numpy's binomial range, and a mask one of 0..2^n - 1; a rejected
-        count or mask draws and counts nothing.
+        as the float k mu(S).  A count must be an integer in 0..MAX_COUNT and
+        a mask one of 0..2^n - 1; a rejected count or mask draws and counts
+        nothing.
         """
         if k is not self._count:  # a new count: checked and converted once per advance
             k = operator.index(k)
-            if not 0 <= k <= 2**63 - 1:
+            if not 0 <= k <= MAX_COUNT:
                 raise ValueError(f"query count must lie in 0..2**63 - 1, not {k}")
             self._count, self._count_arg = k, self._as_arg(k)
         try:

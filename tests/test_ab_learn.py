@@ -15,4 +15,5 @@ def test_one_round_of_the_repository_against_itself():
         capture_output=True, text=True, timeout=120, check=True)
     last = result.stdout.splitlines()[-1]
     assert re.fullmatch(r"learn-small: median time ratio change/parent \d+\.\d{4}, "
-                        r"change won [01] of 1 rounds", last), last
+                        r"change won [01] of 1 rounds, block ms quartiles "
+                        r"parent (\d+\.\d/){2}\d+\.\d change (\d+\.\d/){2}\d+\.\d", last), last

@@ -307,10 +307,14 @@ def test_a_set_that_is_not_n_points_in_r_n_is_rejected():
                  lambda: separating_normals(pts[None]),
                  lambda: separating_normals(np.ones(3)),
                  lambda: fit_separating_hyperplane(pts, 0, 0.0),
-                 lambda: fit_separating_hyperplane(5.0, 0, 0.0),
-                 lambda: stopping_condition(pts, 1e-6)):
+                 lambda: fit_separating_hyperplane(5.0, 0, 0.0)):
         with pytest.raises(ValueError, match=r"\(\.\.\., n, n\) stack"):
             call()
+    # the stopping test rejects the set before its distance bound, at any
+    # bonus, and names the caller's shape
+    for bonus in (1e-6, 1.0):
+        with pytest.raises(ValueError, match=r"\(\.\.\., n, n\) stack, got shape \(4, 2\)"):
+            stopping_condition(pts, bonus)
 
 
 # ---------------------------------------------------------------------------

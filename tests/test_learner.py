@@ -492,41 +492,52 @@ def test_two_player_game_runs():
 
 
 def test_check_windows_split_the_schedule_at_powers_of_two():
+    # at n = 3 the first window runs through the first doubling window that
+    # can stop, (256, 512]; the windows after it are doubling windows
     windows = [list(window) for window, _ in check_schedule(3, 0.1, 1000)]
-    assert windows[:4] == [[1], [2], [3, 4], [5, 6, 7, 8]]
-    assert windows[6] == list(range(33, 65))
-    assert windows[7] == [67, 70, 73, 76, 79, 82, 86, 90, 94, 98, 102, 107, 112, 117, 122, 128]
+    first = windows[0]
+    assert first[:8] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert first[32:64] == list(range(33, 65))
+    assert first[64:80] == [67, 70, 73, 76, 79, 82, 86, 90, 94, 98, 102, 107, 112, 117, 122, 128]
+    assert first[-1] == 498 and len(windows) == 2
     assert windows[-1][-1] == 1000  # the cap is the last check
-    for j, window in enumerate(windows):
+    for j, window in enumerate(windows[1:], start=10):
         assert all(2 ** (j - 1) < t <= 2 ** j for t in window)
 
 
-# (cap, checks, windows): C of the bonus's union bound is the number of checks
+# (cap, checks, doubling windows): C of the bonus's union bound is the number of checks
 SCHEDULE_SIZES = [(1, 1, 1), (2, 2, 2), (63, 63, 7), (64, 64, 7), (65, 65, 8), (100, 75, 8),
                   (10**6, 266, 21), (10**12, 549, 41), (2**63 - 1, 878, 64)]
 
 
 @pytest.mark.parametrize("cap, checks, windows", SCHEDULE_SIZES)
 def test_schedule_windows_equal_the_one_check_at_a_time_reference(cap, checks, windows):
-    schedule = check_schedule(3, 0.1, cap)
-    assert [list(window) for window, _ in schedule] == reference_check_windows(cap)
-    assert (sum(len(window) for window, _ in schedule), len(schedule)) == (checks, windows)
+    schedule, reference = check_schedule(3, 0.1, cap), reference_check_windows(cap)
+    assert [t for window, _ in schedule for t in window] == [t for w in reference for t in w]
+    assert (sum(map(len, reference)), len(reference)) == (checks, windows)
+    # at n = 3 the ten doubling windows through (256, 512] fold into the first
+    # one, and the later ones are the reference's
+    assert len(schedule) == max(1, windows - 9)
+    assert [list(window) for window, _ in schedule[1:]] == reference[10:]
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.01])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_schedule_bonuses_are_the_confidence_bonus_and_skip_above_the_ceiling(n, delta):
     # no last bonus on this grid lies within rounding of the ceiling, so the
-    # skips are exactly those of the bare ceiling
+    # folds are exactly those of the bare ceiling
+    ceiling = stop_bonus_ceiling(n)
     for cap in (10**6, 10**12, 2**63 - 1):
         schedule = check_schedule(n, delta, cap)
-        skipped = [bonuses is None for _, bonuses in schedule]
-        assert skipped == sorted(skipped, reverse=True)  # the skipped windows come first
-        for window, bonuses in schedule:
-            last = confidence_bonus(window[-1], n, delta)
-            assert (bonuses is None) == (window[-1] < cap and last > stop_bonus_ceiling(n))
-            if bonuses is not None:
-                assert bonuses == tuple(confidence_bonus(t, n, delta) for t in window)
+        for window, bonuses in schedule:  # every window is decided
+            assert bonuses == tuple(confidence_bonus(t, n, delta) for t in window)
+        # the first window folds the doubling windows whose last bonus is above
+        # the ceiling into the first one whose last bonus is not
+        ends = [window[-1] for window in reference_check_windows(cap)]
+        folded = ends.index(schedule[0][0][-1])
+        assert [confidence_bonus(t, n, delta) > ceiling for t in ends[:folded + 2]] == (
+            [True] * folded + [False, False])
+        assert len(schedule) == len(ends) - folded
 
 
 def test_schedule_is_one_shared_immutable_object():
@@ -536,19 +547,25 @@ def test_schedule_is_one_shared_immutable_object():
     assert type(schedule) is tuple
     for window, bonuses in schedule:
         assert type(window) is tuple and all(type(t) is int for t in window)
-        assert bonuses is None or type(bonuses) is tuple
+        assert type(bonuses) is tuple
 
 
-def test_windows_that_cannot_stop_skip_the_stopping_test(monkeypatch):
+def test_the_first_window_holds_every_check_that_cannot_stop(monkeypatch):
     n, config = 3, LearnerConfig(delta=0.1)
     schedule = check_schedule(n, 0.1, config.max_epochs)
-    skipped = [window for window, bonuses in schedule if bonuses is None]
-    assert skipped[-1][-1] == 245  # the last skipped window is the one in (128, 256]
+    (first, bonuses), later = schedule[0], schedule[1:]
+    ceiling = stop_bonus_ceiling(n)
+    # it ends where the doubling window (256, 512] ends, and the doubling
+    # windows before that one, the last ending at 245, cannot stop
+    assert first[-1] == 498 and max(t for t in first if t <= 256) == 245
+    assert confidence_bonus(245, n, 0.1) > ceiling >= bonuses[-1]
+    assert all(b <= ceiling for _, later_bonuses in later for b in later_bonuses)
     seen, estimated = [], []
 
     def counted(estimates, bonuses):
-        seen.append(list(bonuses))
-        return stopping_condition(estimates, bonuses)
+        passed = stopping_condition(estimates, bonuses)
+        seen.append((list(bonuses), passed))
+        return passed
 
     def counted_estimates(totals, epochs, index, mu_grand):
         estimated.append(list(epochs))
@@ -558,10 +575,19 @@ def test_windows_that_cannot_stop_skip_the_stopping_test(monkeypatch):
     monkeypatch.setattr(learner, "vertex_estimates", counted_estimates)
     game = gen_strictly_convex(n, 3)
     report = common_points_picking(RewardOracle(game, seed=4), config)
-    assert report.stopped_naturally and report.epochs > 245
-    window = schedule[len(skipped)][0]
-    assert seen[0] == [confidence_bonus(t, n, 0.1) for t in window]
-    assert estimated[0] == list(window)  # skipped windows compute no estimates either
+    assert report.stopped_naturally and report.epochs > 498
+    assert seen[0][0] == list(bonuses)  # the folded checks are decided in one call
+    assert estimated[0] == list(first)
+    # no run passes at a check above the ceiling, not even the noise-free
+    # estimates (1, -1) and (-1, 1), which pass at any bonus up to it
+    for oracle in (noise_free(GameSpec(n=2, mu=[0.0, 1.0, 1.0, 0.0]), 0),
+                   RewardOracle(gen_strictly_convex(3, 1), 1),
+                   RewardOracle(gen_strictly_convex(6, 2), 2)):
+        seen.clear()
+        assert common_points_picking(oracle, config).stopped_naturally
+        above = stop_bonus_ceiling(oracle.n) * (1 + learner.SKIP_SLACK)
+        verdicts = [p for bonuses, passed in seen for b, p in zip(bonuses, passed) if b > above]
+        assert len(verdicts) > 50 and not any(verdicts)
 
 
 def one_window_per_check(n, delta, max_epochs):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from core_picker.games import GameSpec, gen_strictly_convex, gen_unit_game
+from core_picker.games import GameSpec, gen_strictly_convex, gen_unit_game, prefix_coalitions
+from core_picker.learner import resolve_permutations
 from core_picker.oracle import RewardOracle
 from support import gen_weighted_game
 
@@ -85,6 +86,23 @@ def test_query_sums_equal_plain_numpy_draws(noise):
             assert k == 0 or type(got) is kind  # a zero count may sum to 0 or 0.0
     assert oracle.total_queries == queries
     assert oracle.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("choice", ["adjacent", "cyclic"])
+@pytest.mark.parametrize("n", [3, 6])
+def test_one_block_binomial_draw_equals_row_major_query_sums(n, choice):
+    """One ``binomial(ks[:, None], means[None, :])`` call over a window's
+    advances gives the sums and the final bit-generator state of the
+    row-major ``query_sum`` calls, one per prefix and advance: the premise of
+    drawing a check window in one call (ROADMAP item 2)."""
+    game = gen_weighted_game(n, n)
+    prefixes = [S for w in resolve_permutations(choice, n) for S in prefix_coalitions(w)]
+    ks = [1, 2, 1, 3, 64, 1000, 2**20 + 1, 2**40]  # a window's increments, repeats included
+    oracle, rng = RewardOracle(game, 23), np.random.default_rng(23)
+    sums = [[oracle.query_sum(S, k) for S in prefixes] for k in ks]
+    block = rng.binomial(np.array(ks)[:, None], game.mu[prefixes][None, :])
+    assert block.tolist() == sums
+    assert rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("noise", ["bernoulli", "none"])
