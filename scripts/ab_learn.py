@@ -12,10 +12,12 @@ one block of the workload's trials on each tree, the tree that goes first
 alternating from round to round.  The process is pinned to one core and each
 block is timed in this thread's CPU time, so time spent waiting for the core
 is left out.  Every trial's output bytes and failure flag must be equal on
-both trees.  The last line gives the median ratio of the change's time to the
-parent's over the rounds, how many rounds the change took less time, and the
-quartiles of each tree's block time in ms, so a ratio can be read against the
-parent's own spread.
+both trees.  After the timed rounds, each tree runs one more block, untimed,
+under ``tracemalloc``.  The last line gives the median ratio of the change's
+time to the parent's over the rounds, how many rounds the change took less
+time, the quartiles of each tree's block time in ms, so a ratio can be read
+against the parent's own spread, and each tree's traced peak in MiB over its
+untimed block.
 """
 
 import argparse
@@ -24,6 +26,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -50,6 +53,16 @@ def timed_block(workload, cp, block):
     return time.thread_time() - start, [(r.output, r.failed) for r in records]
 
 
+def traced_peak(workload, cp, block):
+    """The peak MiB that ``tracemalloc`` sees over one untimed block of trials."""
+    tracemalloc.start()
+    try:
+        timed_block(workload, cp, block)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None):
     learn = [name for name, w in bench.WORKLOADS.items() if isinstance(w, bench.LearnWorkload)]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -71,13 +84,16 @@ def main(argv=None):
         if results[0][1] != results[1][1]:
             sys.exit(f"round {r}: the trees' outputs differ")
         blocks.append((results[0][0], results[1][0]))
+    block = [next(units) for _ in workload.block]
+    peaks = [traced_peak(workload, cp, block) for cp in trees]
     ratios = [change / parent for parent, change in blocks]
     won = sum(ratio < 1.0 for ratio in ratios)
     parent, change = ("/".join(f"{q:.1f}" for q in np.percentile(t, (25, 50, 75)) * 1e3)
                       for t in zip(*blocks))
     print(f"{args.workload}: median time ratio change/parent {statistics.median(ratios):.4f}, "
           f"change won {won} of {len(ratios)} rounds, "
-          f"block ms quartiles parent {parent} change {change}")
+          f"block ms quartiles parent {parent} change {change}, "
+          f"traced peak MiB parent {peaks[0]:.2f} change {peaks[1]:.2f}")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ Epochs are advanced in batches between checks (the oracle sums whole batches
 at once), with check epochs spaced geometrically: the sampling distribution is
 untouched, and a reported epoch is at most ``CHECK_GROWTH`` times the exact
 one.  A window of :func:`check_schedule`, the first from epoch 1 on, is
-decided together; when a check passes, the oracle is rewound and replayed to
-it, so the random stream, samples and report are those of checking each epoch.
+decided together, its advances streamed into one stack; on a pass, the oracle
+is rewound and the same draw replays them up to it, so the random stream,
+samples and report are those of checking each epoch.
 
 A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
 the rank gather ``index`` and one n x n array ``totals`` of prefix sums.
@@ -25,6 +26,7 @@ learner takes from anywhere but the bandit's rewards.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -103,6 +105,14 @@ def run_epochs(oracle: RewardOracle, prefixes, k: int) -> list:
     return [query_sum(coalition, k) for coalition in prefixes]
 
 
+def _draw_window(oracle: RewardOracle, prefixes, steps) -> np.ndarray:
+    """The :func:`run_epochs` sums of each count k in ``steps`` in turn, streamed
+    into a (len(steps), n, n) float64 stack: no list outlives one advance."""
+    n = oracle.n
+    sums = itertools.chain.from_iterable(run_epochs(oracle, prefixes, k) for k in steps)
+    return np.fromiter(sums, np.float64, len(steps) * n * n).reshape(-1, n, n)
+
+
 def rank_index(ranks: np.ndarray) -> np.ndarray:
     """Flat positions p * n + ranks[p, i] of an n x n table, built once per run.
 
@@ -166,14 +176,17 @@ def stopping_condition(estimates, bonus):
     0.2% of the floor for n <= 20, absorbs the solve's rounding of the
     altitudes on the coordinates :func:`separating_normals` accepts.
 
-    A (..., n, n) stack of estimates and a matching stack of bonuses give a
-    boolean array of that shape, and other shapes raise ValueError.  The checks
-    the bound leaves go to one stacked solve; it and every reduction work one
-    set at a time, so each boolean is what solving every check gives.
-    Degenerate sets (NaN altitudes) and NaN or infinite estimates fail.
+    A (..., n, n) stack of estimates and bonuses that broadcast to its
+    leading shape give a boolean array of that shape; other shapes, and a
+    negative bonus, raise ValueError.  The checks the bound leaves go to one
+    stacked solve; it and every reduction work one set at a time, so each
+    boolean is what solving every check gives.  Degenerate sets (NaN
+    altitudes), NaN or infinite estimates and a NaN bonus fail.
     """
     points, n = point_stack(estimates)
-    bonus = np.asarray(bonus, dtype=np.float64)
+    bonus = np.full(points.shape[:-2], np.asarray(bonus, dtype=np.float64))
+    if np.count_nonzero(bonus < 0.0):
+        raise ValueError("bonus must be nonnegative")
     offsets = points - np.add.reduce(points, axis=-2, keepdims=True) / n
     nearest = np.sqrt(np.minimum.reduce(np.add.reduce(offsets * offsets, axis=-1), axis=-1))
     skip = min_pass_altitude(n, 1.0, 1.0) * ((n - 1) / n * (1.0 - SKIP_SLACK))  # linear in bonus
@@ -181,7 +194,7 @@ def stopping_condition(estimates, bonus):
     passed = np.zeros(solve.shape, dtype=bool)
     if solve.any():
         normals, altitudes = separating_normals(points[solve])
-        bonus = np.broadcast_to(bonus, solve.shape)[solve][:, None]
+        bonus = bonus[solve][:, None]
         floor = min_pass_altitude(n, bonus, np.abs(normals).sum(axis=-1))
         passed[solve] = np.logical_and.reduce(altitudes >= floor, axis=-1)
     return passed[()]  # a single set gives a numpy bool, not a 0-d array
@@ -257,24 +270,17 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     totals = np.zeros((n, n))
     epoch = 0
     for window, bonuses in check_schedule(n, config.delta, config.max_epochs):
-        start, saved = epoch, oracle.state
-        draws = []
-        for target in window:
-            draws += run_epochs(oracle, prefixes, target - epoch)
-            epoch = target
-        stack = np.empty((len(window) + 1, n, n))
-        stack[0] = totals
-        stack.reshape(-1)[n * n:] = draws
+        saved = oracle.state
+        steps = [t - s for s, t in zip((epoch, *window), window)]
+        stack = np.concatenate((totals[None], _draw_window(oracle, prefixes, steps)))
         # row i + 1 is the totals at check i, added up one advance at a time
         np.cumsum(stack, axis=0, out=stack)
-        totals = stack[-1]
+        epoch, totals = window[-1], stack[-1]
         estimates = vertex_estimates(stack[1:], window, index, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():
             first = int(passed.argmax())
             oracle.state = saved  # replay up to the first pass, as if checked epoch by epoch
-            for target in window[:first + 1]:
-                run_epochs(oracle, prefixes, target - start)
-                start = target
+            _draw_window(oracle, prefixes, steps[:first + 1])
             return RunReport(estimates[first], window[first], bonuses[first], True)
     return RunReport(estimates[-1], epoch, bonuses[-1], False)

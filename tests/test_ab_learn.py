@@ -16,4 +16,5 @@ def test_one_round_of_the_repository_against_itself():
     last = result.stdout.splitlines()[-1]
     assert re.fullmatch(r"learn-small: median time ratio change/parent \d+\.\d{4}, "
                         r"change won [01] of 1 rounds, block ms quartiles "
-                        r"parent (\d+\.\d/){2}\d+\.\d change (\d+\.\d/){2}\d+\.\d", last), last
+                        r"parent (\d+\.\d/){2}\d+\.\d change (\d+\.\d/){2}\d+\.\d, "
+                        r"traced peak MiB parent \d+\.\d\d change \d+\.\d\d", last), last

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_stopping_duplicate_points_false():
 
 def test_stopping_large_bonus_false():
     assert stopping_condition([np.eye(3)], [10.0]).tolist() == [False]
+
+
+def test_a_negative_bonus_is_rejected_and_a_nan_bonus_fails():
+    basis = 10 / np.sqrt(2) * np.eye(3)  # pairwise distance 10: passes at bonus 1e-4
+    for estimates, bonus in ((np.eye(3), -1.0), ([basis, basis], [1e-4, -1e-300])):
+        with pytest.raises(ValueError, match="bonus must be nonnegative"):
+            stopping_condition(estimates, bonus)
+    assert not stopping_condition(basis, np.nan)
+    assert stopping_condition([basis, basis], [1e-4, np.nan]).tolist() == [True, False]
+    assert stopping_condition(basis, -0.0)
+
+
+def test_bonuses_that_do_not_match_the_checks_are_rejected():
+    # rejected before the distance bound, whichever checks would reach the solve
+    basis = 10 / np.sqrt(2) * np.eye(3)
+    for estimates, bonus in ((5 * np.eye(3), [0.01, 0.02]), ([basis] * 3, [1e-4] * 2),
+                             ([basis] * 2, np.full((2, 1), 1e-4))):
+        with pytest.raises(ValueError):
+            stopping_condition(estimates, bonus)
+    # bonuses that broadcast to the checks' leading shape give the full stack's verdicts
+    stack, bonuses = np.array([[basis, np.eye(3)]] * 3), np.array([1e-4, 10.0])
+    full = stopping_condition(stack, np.broadcast_to(bonuses, (3, 2)).copy())
+    assert full.tolist() == stopping_condition(stack, bonuses).tolist() == [[True, False]] * 3
 
 
 @pytest.mark.parametrize("singular", [False, True])
@@ -625,6 +649,21 @@ def test_a_run_stops_at_the_first_check_below_the_bonus_ceiling():
     assert report.stopped_naturally and report.epochs == first
 
 
+def test_a_run_holds_no_list_of_a_window_of_sums():
+    # the first window at n = 20 holds 180 checks of 400 prefix sums each; held
+    # in one list of Python ints, they lift the run's peak to about 3 MiB
+    game, config = gen_strictly_convex(20, 0), LearnerConfig(delta=0.1, perm_choice="cyclic")
+    assert len(check_schedule(20, 0.1, config.max_epochs)[0][0]) == 180
+    tracemalloc.start()
+    try:
+        report = common_points_picking(RewardOracle(game, 0), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.stopped_naturally
+    assert peak < 2.6 * 2**20
+
+
 def one_check_per_epoch(oracle, config):
     """Reference: check the stopping rule at every scheduled epoch in turn."""
     n = oracle.n
@@ -659,6 +698,18 @@ def assert_matches_reference(game, seed, config, noise="bernoulli"):
 def test_windowed_run_matches_one_check_per_epoch(n, choice):
     config = LearnerConfig(delta=0.1, perm_choice=choice)
     assert_matches_reference(gen_strictly_convex(n, n), 40 + n, config)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_noisy_run_that_stops_in_the_first_window_replays_it_from_epoch_one(seed):
+    # these runs stop at epoch 234, 223 and 223: inside the first window, which
+    # ends at 245, and after its first check at or below the ceiling (213)
+    game, config = GameSpec(n=2, mu=[0.0, 1.0, 0.95, 0.0]), LearnerConfig(delta=0.1)
+    first = check_schedule(2, 0.1, config.max_epochs)[0][0]
+    passable = next(t for t in first if confidence_bonus(t, 2, 0.1) <= stop_bonus_ceiling(2))
+    report = common_points_picking(RewardOracle(game, seed), config)
+    assert (first[-1], passable) == (245, 213) and passable < report.epochs < first[-1]
+    assert_matches_reference(game, seed, config)
 
 
 @pytest.mark.parametrize("cap", [1, 65, 100, 20_000])
@@ -798,8 +849,8 @@ def test_a_run_reads_the_state_once_per_decided_window_and_writes_it_on_a_pass(g
     config = LearnerConfig(delta=0.1, max_epochs=cap)
     view = StateCountingView(RewardOracle(game, seed=4))
     report = common_points_picking(view, config)
-    decided = [window for window, bonuses in check_schedule(game.n, 0.1, cap)
-               if bonuses is not None and window[0] <= report.epochs]
+    decided = [window for window, _ in check_schedule(game.n, 0.1, cap)
+               if window[0] <= report.epochs]
     assert decided and view.reads == len(decided)
     assert view.writes == (1 if report.stopped_naturally else 0)
     assert report.stopped_naturally == (cap > 5_000)
