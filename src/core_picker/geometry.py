@@ -52,10 +52,11 @@ def simplex_width(points) -> float:
 
 
 def point_stack(points) -> tuple[np.ndarray, int]:
-    """``points`` as a float64 (..., n, n) stack, and n; other shapes raise ValueError."""
+    """``points`` as a float64 (..., n, n) stack, and n; other shapes, and
+    n < 2, where no point has others to be separated from, raise ValueError."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim < 2 or pts.shape[-2] != pts.shape[-1]:
-        raise ValueError(f"points must form a (..., n, n) stack, got shape {pts.shape}")
+    if pts.ndim < 2 or pts.shape[-2] != pts.shape[-1] or pts.shape[-1] < 2:
+        raise ValueError(f"n >= 2 points must form a (..., n, n) stack, got shape {pts.shape}")
     return pts, pts.shape[-1]
 
 

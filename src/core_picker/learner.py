@@ -10,10 +10,11 @@ allocation is the average of the estimates.
 Epochs are advanced in batches between checks (the oracle sums whole batches
 at once), with check epochs spaced geometrically: the sampling distribution is
 untouched, and a reported epoch is at most ``CHECK_GROWTH`` times the exact
-one.  A window of :func:`check_schedule`, the first from epoch 1 on, is
-decided together, its advances streamed into one stack; on a pass, the oracle
-is rewound and the same draw replays them up to it, so the random stream,
-samples and report are those of checking each epoch.
+one.  :func:`check_schedule` fixes each window's checks, advance sizes and
+bonuses.  A window, the first from epoch 1 on, is decided together, the totals
+at its checks drawn into one buffer; on a pass, the oracle is rewound and the
+same draw replays its advances up to it, so the random stream, samples and
+report are those of checking each epoch.
 
 A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
 the rank gather ``index`` and one n x n array ``totals`` of prefix sums.
@@ -105,12 +106,15 @@ def run_epochs(oracle: RewardOracle, prefixes, k: int) -> list:
     return [query_sum(coalition, k) for coalition in prefixes]
 
 
-def _draw_window(oracle: RewardOracle, prefixes, steps) -> np.ndarray:
-    """The :func:`run_epochs` sums of each count k in ``steps`` in turn, streamed
-    into a (len(steps), n, n) float64 stack: no list outlives one advance."""
-    n = oracle.n
-    sums = itertools.chain.from_iterable(run_epochs(oracle, prefixes, k) for k in steps)
-    return np.fromiter(sums, np.float64, len(steps) * n * n).reshape(-1, n, n)
+def _draw_window(oracle: RewardOracle, prefixes, totals: np.ndarray, steps) -> np.ndarray:
+    """The totals after each advance of k epochs, k in ``steps``, from the n x n
+    ``totals``.  The start and each advance's :func:`run_epochs` sums stream into
+    one (len(steps) + 1, n, n) float64 buffer, so no list outlives one advance;
+    it is summed in place down its first axis, and rows 1.. are returned."""
+    advances = (run_epochs(oracle, prefixes, k) for k in steps)
+    sums = itertools.chain.from_iterable(itertools.chain([totals.ravel().tolist()], advances))
+    buf = np.fromiter(sums, np.float64, (len(steps) + 1) * totals.size).reshape(-1, *totals.shape)
+    return np.cumsum(buf, axis=0, out=buf)[1:]
 
 
 def rank_index(ranks: np.ndarray) -> np.ndarray:
@@ -188,7 +192,8 @@ def stopping_condition(estimates, bonus):
     if np.count_nonzero(bonus < 0.0):
         raise ValueError("bonus must be nonnegative")
     offsets = points - np.add.reduce(points, axis=-2, keepdims=True) / n
-    nearest = np.sqrt(np.minimum.reduce(np.add.reduce(offsets * offsets, axis=-1), axis=-1))
+    nearest = np.sqrt(np.minimum.reduce(  # offsets squared in place: no second stack
+        np.add.reduce(np.square(offsets, out=offsets), axis=-1), axis=-1))
     skip = min_pass_altitude(n, 1.0, 1.0) * ((n - 1) / n * (1.0 - SKIP_SLACK))  # linear in bonus
     solve = nearest >= bonus * skip
     passed = np.zeros(solve.shape, dtype=bool)
@@ -216,7 +221,8 @@ def stop_bonus_ceiling(n: int) -> float:
 
 @functools.lru_cache
 def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
-    """A run's checks as ``(epochs, bonuses)`` pairs, one per window (2^j, 2^(j+1)].
+    """A run's checks as ``(epochs, steps, bonuses)``, one per window (2^j, 2^(j+1)]:
+    each step, a Python int, is its epoch less the previous check's, or 0.
 
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
     ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The bonus falls with
@@ -228,15 +234,17 @@ def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
     """
     windows, t = {}, 0
     while t < max_epochs:
-        t = min(t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH)), max_epochs)
-        windows.setdefault((t - 1).bit_length(), []).append(t)
+        s, t = t, min(t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH)),
+                      max_epochs)
+        windows.setdefault((t - 1).bit_length(), []).append((t, t - s))
     ceiling = stop_bonus_ceiling(n) * (1.0 + SKIP_SLACK)
-    schedule, epochs = [], []
+    schedule, checks = [], []
     for window in windows.values():
-        epochs += window
-        if epochs[-1] == max_epochs or confidence_bonus(epochs[-1], n, delta) <= ceiling:
-            schedule.append((tuple(epochs), tuple(confidence_bonus(t, n, delta) for t in epochs)))
-            epochs = []
+        checks += window
+        if checks[-1][0] == max_epochs or confidence_bonus(checks[-1][0], n, delta) <= ceiling:
+            epochs, steps = zip(*checks)
+            schedule.append((epochs, steps, tuple(confidence_bonus(t, n, delta) for t in epochs)))
+            checks = []
     return tuple(schedule)
 
 
@@ -268,19 +276,15 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     prefixes = [S for w in perms for S in prefix_coalitions(w)]
     index = rank_index(np.array([w.ranks for w in perms]))
     totals = np.zeros((n, n))
-    epoch = 0
-    for window, bonuses in check_schedule(n, config.delta, config.max_epochs):
+    for window, steps, bonuses in check_schedule(n, config.delta, config.max_epochs):
         saved = oracle.state
-        steps = [t - s for s, t in zip((epoch, *window), window)]
-        stack = np.concatenate((totals[None], _draw_window(oracle, prefixes, steps)))
-        # row i + 1 is the totals at check i, added up one advance at a time
-        np.cumsum(stack, axis=0, out=stack)
-        epoch, totals = window[-1], stack[-1]
-        estimates = vertex_estimates(stack[1:], window, index, oracle.mu_grand)
+        stack = _draw_window(oracle, prefixes, totals, steps)  # row i: the totals at check i
+        estimates = vertex_estimates(stack, window, index, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():
             first = int(passed.argmax())
             oracle.state = saved  # replay up to the first pass, as if checked epoch by epoch
-            _draw_window(oracle, prefixes, steps[:first + 1])
+            _draw_window(oracle, prefixes, totals, steps[:first + 1])
             return RunReport(estimates[first], window[first], bonuses[first], True)
-    return RunReport(estimates[-1], epoch, bonuses[-1], False)
+        totals = stack[-1]
+    return RunReport(estimates[-1], window[-1], bonuses[-1], False)

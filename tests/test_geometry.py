@@ -317,6 +317,17 @@ def test_a_set_that_is_not_n_points_in_r_n_is_rejected():
             stopping_condition(pts, bonus)
 
 
+def test_fewer_than_two_points_are_rejected():
+    # no point has others to be separated from: one point made the solve
+    # divide by zero, and none made the stopping test fail inside numpy
+    for pts in (np.zeros((0, 0)), np.array([[5.0]]), np.ones((3, 1, 1))):
+        for call in (lambda: separating_normals(pts),
+                     lambda: fit_separating_hyperplane(pts, 0, 0.0),
+                     lambda: stopping_condition(pts, 0.1)):
+            with pytest.raises(ValueError, match=r"n >= 2 points must form"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # clearance
 

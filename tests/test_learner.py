@@ -518,7 +518,7 @@ def test_two_player_game_runs():
 def test_check_windows_split_the_schedule_at_powers_of_two():
     # at n = 3 the first window runs through the first doubling window that
     # can stop, (256, 512]; the windows after it are doubling windows
-    windows = [list(window) for window, _ in check_schedule(3, 0.1, 1000)]
+    windows = [list(window) for window, _, _ in check_schedule(3, 0.1, 1000)]
     first = windows[0]
     assert first[:8] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert first[32:64] == list(range(33, 65))
@@ -537,12 +537,12 @@ SCHEDULE_SIZES = [(1, 1, 1), (2, 2, 2), (63, 63, 7), (64, 64, 7), (65, 65, 8), (
 @pytest.mark.parametrize("cap, checks, windows", SCHEDULE_SIZES)
 def test_schedule_windows_equal_the_one_check_at_a_time_reference(cap, checks, windows):
     schedule, reference = check_schedule(3, 0.1, cap), reference_check_windows(cap)
-    assert [t for window, _ in schedule for t in window] == [t for w in reference for t in w]
+    assert [t for window, _, _ in schedule for t in window] == [t for w in reference for t in w]
     assert (sum(map(len, reference)), len(reference)) == (checks, windows)
     # at n = 3 the ten doubling windows through (256, 512] fold into the first
     # one, and the later ones are the reference's
     assert len(schedule) == max(1, windows - 9)
-    assert [list(window) for window, _ in schedule[1:]] == reference[10:]
+    assert [list(window) for window, _, _ in schedule[1:]] == reference[10:]
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.01])
@@ -553,7 +553,7 @@ def test_schedule_bonuses_are_the_confidence_bonus_and_skip_above_the_ceiling(n,
     ceiling = stop_bonus_ceiling(n)
     for cap in (10**6, 10**12, 2**63 - 1):
         schedule = check_schedule(n, delta, cap)
-        for window, bonuses in schedule:  # every window is decided
+        for window, _, bonuses in schedule:  # every window is decided
             assert bonuses == tuple(confidence_bonus(t, n, delta) for t in window)
         # the first window folds the doubling windows whose last bonus is above
         # the ceiling into the first one whose last bonus is not
@@ -569,21 +569,35 @@ def test_schedule_is_one_shared_immutable_object():
     schedule = check_schedule(4, 0.1, 10**12)
     assert check_schedule(4, 0.1, LearnerConfig(delta=0.1).max_epochs) is schedule
     assert type(schedule) is tuple
-    for window, bonuses in schedule:
+    for window, steps, bonuses in schedule:
         assert type(window) is tuple and all(type(t) is int for t in window)
+        assert type(steps) is tuple and all(type(k) is int for k in steps)
+        assert len(steps) == len(window)
         assert type(bonuses) is tuple
+
+
+@pytest.mark.parametrize("n", [2, 3, 20])
+@pytest.mark.parametrize("cap", [cap for cap, _, _ in SCHEDULE_SIZES])
+def test_schedule_steps_are_the_gaps_between_checks(n, cap):
+    # taken in order across the windows, the steps advance from epoch 0 to
+    # each check in turn, so the run reaches the cap and no later epoch
+    schedule = check_schedule(n, 0.1, cap)
+    epochs = [t for window, _, _ in schedule for t in window]
+    steps = [k for _, window_steps, _ in schedule for k in window_steps]
+    assert steps == [t - s for s, t in zip([0, *epochs], epochs)]
+    assert min(steps) >= 1 and sum(steps) == cap
 
 
 def test_the_first_window_holds_every_check_that_cannot_stop(monkeypatch):
     n, config = 3, LearnerConfig(delta=0.1)
     schedule = check_schedule(n, 0.1, config.max_epochs)
-    (first, bonuses), later = schedule[0], schedule[1:]
+    (first, _, bonuses), later = schedule[0], schedule[1:]
     ceiling = stop_bonus_ceiling(n)
     # it ends where the doubling window (256, 512] ends, and the doubling
     # windows before that one, the last ending at 245, cannot stop
     assert first[-1] == 498 and max(t for t in first if t <= 256) == 245
     assert confidence_bonus(245, n, 0.1) > ceiling >= bonuses[-1]
-    assert all(b <= ceiling for _, later_bonuses in later for b in later_bonuses)
+    assert all(b <= ceiling for _, _, later_bonuses in later for b in later_bonuses)
     seen, estimated = [], []
 
     def counted(estimates, bonuses):
@@ -616,8 +630,9 @@ def test_the_first_window_holds_every_check_that_cannot_stop(monkeypatch):
 
 def one_window_per_check(n, delta, max_epochs):
     """Every check in a window of its own, and none skipped."""
-    return tuple(((t,), (confidence_bonus(t, n, delta),))
-                 for window, _ in check_schedule(n, delta, max_epochs) for t in window)
+    checks = [t for window, _, _ in check_schedule(n, delta, max_epochs) for t in window]
+    return tuple(((t,), (t - s,), (confidence_bonus(t, n, delta),))
+                 for s, t in zip([0, *checks], checks))
 
 
 @pytest.mark.parametrize("gen, n, cap", [("strict", 3, 10**12), ("strict", 5, 10**12),
@@ -644,14 +659,15 @@ def test_a_run_stops_at_the_first_check_below_the_bonus_ceiling():
     # so a skipped window that could pass would delay the stop
     game = GameSpec(n=2, mu=[0.0, 1.0, 1.0, 0.0])
     report = common_points_picking(noise_free(game, 0), LearnerConfig(delta=0.1))
-    checks = [t for window, _ in check_schedule(2, 0.1, 10**12) for t in window]
+    checks = [t for window, _, _ in check_schedule(2, 0.1, 10**12) for t in window]
     first = next(t for t in checks if confidence_bonus(t, 2, 0.1) <= stop_bonus_ceiling(2))
     assert report.stopped_naturally and report.epochs == first
 
 
 def test_a_run_holds_no_list_of_a_window_of_sums():
     # the first window at n = 20 holds 180 checks of 400 prefix sums each; held
-    # in one list of Python ints, they lift the run's peak to about 3 MiB
+    # in one list of Python ints, they lift the run's peak to about 3 MiB, and
+    # a second stack of squared offsets in the distance bound to about 2.3 MiB
     game, config = gen_strictly_convex(20, 0), LearnerConfig(delta=0.1, perm_choice="cyclic")
     assert len(check_schedule(20, 0.1, config.max_epochs)[0][0]) == 180
     tracemalloc.start()
@@ -661,7 +677,7 @@ def test_a_run_holds_no_list_of_a_window_of_sums():
     finally:
         tracemalloc.stop()
     assert report.stopped_naturally
-    assert peak < 2.6 * 2**20
+    assert peak < 2.0 * 2**20
 
 
 def one_check_per_epoch(oracle, config):
@@ -849,7 +865,7 @@ def test_a_run_reads_the_state_once_per_decided_window_and_writes_it_on_a_pass(g
     config = LearnerConfig(delta=0.1, max_epochs=cap)
     view = StateCountingView(RewardOracle(game, seed=4))
     report = common_points_picking(view, config)
-    decided = [window for window, _ in check_schedule(game.n, 0.1, cap)
+    decided = [window for window, _, _ in check_schedule(game.n, 0.1, cap)
                if window[0] <= report.epochs]
     assert decided and view.reads == len(decided)
     assert view.writes == (1 if report.stopped_naturally else 0)
