@@ -108,13 +108,15 @@ def _parallel_map(fn, jobs):
 
 
 def _write_csv(path, header, rows):
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:  # a full disk shows only here, after the run: main reports it as a usage error
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"--out {path}: {exc.strerror}") from None
 
 
 def _fmt(v) -> str:
@@ -232,7 +234,7 @@ def main(argv=None) -> int:
     try:  # errors print the usage of the chosen subcommand
         _validate(args.parser, args)
         return args.fn(args)
-    except ValueError as exc:  # a bad CORE_PICKER_THREADS, game, oracle or learner setting
+    except ValueError as exc:  # a bad CORE_PICKER_THREADS or run setting, a failed --out write
         args.parser.error(str(exc))
 
 

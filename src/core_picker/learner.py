@@ -12,9 +12,9 @@ at once), with check epochs spaced geometrically: the sampling distribution is
 untouched, and a reported epoch is at most ``CHECK_GROWTH`` times the exact
 one.  :func:`check_schedule` fixes each window's checks, advance sizes and
 bonuses.  A window, the first from epoch 1 on, is decided together, the totals
-at its checks drawn into one buffer; on a pass, the oracle is rewound and the
-same draw replays its advances up to it, so the random stream, samples and
-report are those of checking each epoch.
+at its checks drawn into one buffer, and a run only draws forward: its report
+is that of checking each epoch, while the oracle's count also holds the
+window's draws past the first pass, which no report reads.
 
 A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
 the rank gather ``index`` and one n x n array ``totals`` of prefix sums.
@@ -154,6 +154,17 @@ def min_pass_altitude(n: int, bonus, l1):
     shifted by eps toward the vertex, must clear its confidence box of radius
     ``bonus``, which reaches bonus ||v||_1 along v, by n eps: altitude - eps -
     bonus ||v||_1 >= n eps.  A lower bound on ||v||_1 gives a lower floor.
+
+    A pass makes the estimates' mean m a common point (ROADMAP item 9's
+    lemma).  Let each true vertex be x^q + e^q, on the estimates' plane with
+    |e^q|_inf <= r = (1 + 1/(2n)) bonus (the projection adds bonus/(2n)).
+    The weight of x^p is affine with gradient v_p/h_p, so m = sum_q w_q (x^q
+    + t e^q), sum_q w_q = 1, gives w_p = 1/n - t sum_q w_q <v_p, e^q>/h_p with
+    |<v_p, e^q>| <= r ||v_p||_1.  If every h_p > n r ||v_p||_1, no weight
+    reaches 0 as t grows from 0 to 1, and a dependence mu of the vertices
+    would have every |mu_p| < ||mu||_1/n: m is in every true-vertex simplex.
+    That holds here: ||v||_1 <= sqrt(n) and (n - 1/2) sqrt(n) < 2 sqrt(n)(n + 1)
+    give this floor > (n + 1/2) bonus ||v||_1 = n r ||v||_1.
     """
     return bonus * (2.0 * math.sqrt(n) * (n + 1) + l1)
 
@@ -277,14 +288,11 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     index = rank_index(np.array([w.ranks for w in perms]))
     totals = np.zeros((n, n))
     for window, steps, bonuses in check_schedule(n, config.delta, config.max_epochs):
-        saved = oracle.state
         stack = _draw_window(oracle, prefixes, totals, steps)  # row i: the totals at check i
         estimates = vertex_estimates(stack, window, index, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():
             first = int(passed.argmax())
-            oracle.state = saved  # replay up to the first pass, as if checked epoch by epoch
-            _draw_window(oracle, prefixes, totals, steps[:first + 1])
             return RunReport(estimates[first], window[first], bonuses[first], True)
         totals = stack[-1]
     return RunReport(estimates[-1], window[-1], bonuses[-1], False)

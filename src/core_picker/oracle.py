@@ -3,7 +3,9 @@
 The game supplies the expected rewards mu(S); the oracle owns the reward
 model.  Each query draws an independent reward in [0, 1] with mean mu(S) and
 increments the sample counter.  The empty coalition is free: it returns 0 by
-definition without consuming a sample.
+definition without consuming a sample.  Like a bandit, the oracle cannot be
+rewound: a learner run's counter includes the draws of its deciding window
+past the stop, which no report reads.
 
 ``query_sum`` advances the same reward process many draws at a time through
 its sufficient statistic (a binomial for Bernoulli noise), which is what makes
@@ -80,16 +82,3 @@ class RewardOracle:
             mean = self._means[S] = self._as_arg(float(self._mu[S]))
         self.total_queries += k
         return self._draw(self._count_arg, mean)
-
-    @property
-    def state(self):
-        """The bit-generator state and the sample count.
-
-        Assigning a value read earlier rewinds the oracle: the draws after it
-        repeat exactly.  A property rather than a method, so it is not a query.
-        """
-        return self.rng.bit_generator.state, self.total_queries
-
-    @state.setter
-    def state(self, value) -> None:
-        self.rng.bit_generator.state, self.total_queries = value

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import os
 import shlex
 import subprocess
@@ -216,6 +217,21 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
             assert "error: --out " in err
         assert not fresh.exists(), argv  # a usage error leaves no empty output file
         assert kept.read_text() == "earlier output\n", argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["learn", "--n", "3"],
+                                  ["sweep", "--n-max", "2", "--trials", "1"],
+                                  ["cw", "--n", "3", "--trials", "1"]])
+def test_a_failed_output_write_is_a_usage_error(capsys, argv):
+    # /dev/full opens, so the --out probe passes, and every write to it fails
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", "/dev/full"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: core-picker {argv[0]} ")
+    assert err.endswith(f"error: --out /dev/full: {os.strerror(errno.ENOSPC)}\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", ""])

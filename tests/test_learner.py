@@ -16,7 +16,7 @@ from core_picker.games import (
     marginal_vector,
     prefix_coalitions,
 )
-from core_picker.geometry import mean_point, separating_normals
+from core_picker.geometry import in_simplex, mean_point, separating_normals
 from core_picker.learner import (
     DEFAULT_MAX_EPOCHS,
     LearnerConfig,
@@ -32,7 +32,14 @@ from core_picker.learner import (
 )
 from core_picker.oracle import RewardOracle
 from core_picker.verify import core_membership
-from support import gen_weighted_game, reference_check_windows, reference_stopping_condition
+from support import (
+    Box,
+    cyclic_center_config,
+    gen_weighted_game,
+    random_box_corner,
+    reference_check_windows,
+    reference_stopping_condition,
+)
 
 
 def noise_free(game, seed):
@@ -443,14 +450,56 @@ def test_one_pass_floor_sets_the_clearance_the_distance_bound_and_the_ceiling(mo
     assert solved == [2, 1]  # the raised floor skips the check at 0.55 and fails the one at 0.52
 
 
+def largest_passing_bonus(estimates):
+    """The largest bonus at which ``stopping_condition`` passes, by bisection."""
+    lo, hi = 0.0, 1.0
+    assert stopping_condition(estimates, lo) and not stopping_condition(estimates, hi)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stopping_condition(estimates, mid) else (lo, mid)
+    return lo
+
+
+def test_the_production_floor_makes_the_mean_a_common_point():
+    """The link from clearance to common point, at the floor a run stops on.
+
+    Each random stack is bisected to the largest passing bonus b.  Boxes of
+    the radius (1 + 1/(2n)) b that the projected estimates keep (the lemma in
+    ``min_pass_altitude``) must hold the estimates' mean in every sampled
+    corner simplex.  Boxes 6x that radius lose it on some corner set, so the
+    sampling can see a miss.  ``support.meets_clearance_condition``, the
+    paper's condition that criterion 7 tests, asks for more clearance.
+    """
+    rng = np.random.default_rng(1700)
+    control_misses = 0
+    for n in range(3, 7):
+        for _ in range(10):
+            centers, _ = cyclic_center_config(rng, n, jitter=0.3)
+            radius = (1.0 + 1.0 / (2 * n)) * largest_passing_bonus(centers)
+            mean = mean_point(centers)
+            for _ in range(60):
+                assert in_simplex(mean, [random_box_corner(rng, Box(c, radius)) for c in centers])
+            for _ in range(20):
+                corners = [random_box_corner(rng, Box(c, 6.0 * radius)) for c in centers]
+                control_misses += not in_simplex(mean, corners)
+    assert control_misses > 0
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
 
+def window_end(n, config, epoch):
+    """The last epoch of the ``check_schedule`` window that holds check ``epoch``:
+    a run draws forward to it, so its oracle counts that many epochs."""
+    schedule = check_schedule(n, config.delta, config.max_epochs)
+    return next(window[-1] for window, _, _ in schedule if epoch <= window[-1])
+
+
 def test_noise_free_permutahedron_run_returns_vertex_average():
-    game = gen_permutahedron(3)
+    game, config = gen_permutahedron(3), LearnerConfig(delta=0.1)
     oracle = noise_free(game, 0)
-    report = common_points_picking(oracle, LearnerConfig(delta=0.1))
+    report = common_points_picking(oracle, config)
     assert report.stopped_naturally
     perms = resolve_permutations("adjacent", 3)
     expected = np.mean([marginal_vector(game, w) for w in perms], axis=0)
@@ -459,7 +508,8 @@ def test_noise_free_permutahedron_run_returns_vertex_average():
     assert check.max_violation <= 0.0
     assert check.efficiency_gap <= 1e-10
     assert report.samples == report.epochs * 9
-    assert oracle.total_queries == report.samples
+    assert report.epochs < window_end(3, config, report.epochs)  # the draws past the stop
+    assert oracle.total_queries == window_end(3, config, report.epochs) * 9
 
 
 def test_unit_game_never_stops():
@@ -650,8 +700,8 @@ def test_windows_change_speed_never_results(monkeypatch, gen, n, cap):
             expected.epochs, expected.bonus, expected.stopped_naturally)
         assert report.stopped_naturally == (gen == "strict")
         assert report.estimates.tobytes() == expected.estimates.tobytes()
-        assert single.total_queries == windowed.total_queries
-        assert single.rng.bit_generator.state == windowed.rng.bit_generator.state
+        assert single.total_queries == report.samples  # one check per window: no overshoot
+        assert windowed.total_queries == window_end(n, config, report.epochs) * n**2
 
 
 def test_a_run_stops_at_the_first_check_below_the_bonus_ceiling():
@@ -681,19 +731,26 @@ def test_a_run_holds_no_list_of_a_window_of_sums():
 
 
 def one_check_per_epoch(oracle, config):
-    """Reference: check the stopping rule at every scheduled epoch in turn."""
+    """Reference: check the stopping rule at every scheduled epoch in turn.
+
+    After the first pass it draws on, unchecked, to the end of that check's
+    window, as a run that decides a window at a time does."""
     n = oracle.n
     perms = resolve_permutations(config.perm_choice, n)
     chains = [prefix_coalitions(w) for w in perms]
     totals = np.zeros((n, n))
-    epoch = 0
-    for target in itertools.chain.from_iterable(reference_check_windows(config.max_epochs)):
-        draw_row_major(totals, oracle, chains, target - epoch)
-        epoch = target
-        estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.mu_grand)
-        bonus = confidence_bonus(epoch, n, config.delta)
-        if stopping_condition(estimates, bonus):
-            return estimates, epoch, bonus, True
+    epoch, result = 0, None
+    for window in reference_check_windows(config.max_epochs):
+        for target in window:
+            draw_row_major(totals, oracle, chains, target - epoch)
+            epoch = target
+            if result is None:
+                estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.mu_grand)
+                bonus = confidence_bonus(epoch, n, config.delta)
+                if stopping_condition(estimates, bonus):
+                    result = estimates, epoch, bonus, True
+        if result is not None:
+            return result
     return estimates, epoch, bonus, False
 
 
@@ -702,7 +759,9 @@ def assert_matches_reference(game, seed, config, noise="bernoulli"):
     estimates, epoch, bonus, stopped = one_check_per_epoch(reference, config)
     report = common_points_picking(oracle, config)
     assert (report.epochs, report.stopped_naturally, report.bonus) == (epoch, stopped, bonus)
-    assert report.samples == epoch * game.n**2 == oracle.total_queries == reference.total_queries
+    assert report.samples == epoch * game.n**2
+    assert oracle.total_queries == reference.total_queries
+    assert oracle.total_queries == window_end(game.n, config, epoch) * game.n**2
     assert report.allocation.tobytes() == mean_point(estimates).tobytes()
     assert report.estimates.shape == (game.n, game.n)
     assert report.estimates.tobytes() == estimates.tobytes()
@@ -717,7 +776,7 @@ def test_windowed_run_matches_one_check_per_epoch(n, choice):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_a_noisy_run_that_stops_in_the_first_window_replays_it_from_epoch_one(seed):
+def test_a_noisy_run_stopping_inside_the_first_window_matches_one_check_per_epoch(seed):
     # these runs stop at epoch 234, 223 and 223: inside the first window, which
     # ends at 245, and after its first check at or below the ceiling (213)
     game, config = GameSpec(n=2, mu=[0.0, 1.0, 0.95, 0.0]), LearnerConfig(delta=0.1)
@@ -752,7 +811,7 @@ def test_weighted_runs_match_one_check_per_epoch(noise):
             assert_matches_reference(gen_weighted_game(n, n), 60 + n, config, noise)
 
 
-RUN_GRID_SHA256 = "59483af56e8b638beb0f7c0fb6aac64a4044be5b30fcaec576a83f1ee5c05004"
+RUN_GRID_SHA256 = "eed77a6cffd36c86b04e402c2c2a661af78c2d0d8aa0ce0f76390dfdca35f5ee"
 
 
 def test_a_grid_of_runs_keeps_its_digest():
@@ -808,7 +867,7 @@ def test_noisy_weighted_runs_are_sound_and_covered():
 
 
 class BanditView:
-    """An oracle cut down to rewards, the rewind state, n and mu(N): no game table."""
+    """An oracle cut down to rewards, n and mu(N): no game table, no random state."""
 
     def __init__(self, oracle):
         self._oracle = oracle
@@ -816,14 +875,6 @@ class BanditView:
 
     def query_sum(self, S, k):
         return self._oracle.query_sum(S, k)
-
-    @property
-    def state(self):
-        return self._oracle.state
-
-    @state.setter
-    def state(self, value):
-        self._oracle.state = value
 
 
 @pytest.mark.parametrize("game, cap", [(gen_strictly_convex(3, 1), 10**12),
@@ -836,39 +887,8 @@ def test_learner_sees_only_the_bandit(game, cap):
     report = common_points_picking(BanditView(oracle), config)
     assert (report.epochs, report.stopped_naturally) == (direct.epochs, direct.stopped_naturally)
     assert report.allocation.tobytes() == direct.allocation.tobytes()
-    assert oracle.total_queries == report.samples
-    assert report.stopped_naturally == (cap > 5_000)
-
-
-class StateCountingView(BanditView):
-    """A bandit view that counts the reads and writes of the rewind state."""
-
-    def __init__(self, oracle):
-        super().__init__(oracle)
-        self.reads = self.writes = 0
-
-    @property
-    def state(self):
-        self.reads += 1
-        return self._oracle.state
-
-    @state.setter
-    def state(self, value):
-        self.writes += 1
-        self._oracle.state = value
-
-
-@pytest.mark.parametrize("game, cap", [(gen_strictly_convex(3, 1), 10**12),
-                                       (gen_strictly_convex(6, 2), 10**12),
-                                       (gen_unit_game(3), 5_000)])
-def test_a_run_reads_the_state_once_per_decided_window_and_writes_it_on_a_pass(game, cap):
-    config = LearnerConfig(delta=0.1, max_epochs=cap)
-    view = StateCountingView(RewardOracle(game, seed=4))
-    report = common_points_picking(view, config)
-    decided = [window for window, _, _ in check_schedule(game.n, 0.1, cap)
-               if window[0] <= report.epochs]
-    assert decided and view.reads == len(decided)
-    assert view.writes == (1 if report.stopped_naturally else 0)
+    last = window_end(game.n, config, report.epochs) if report.stopped_naturally else cap
+    assert oracle.total_queries == last * game.n**2
     assert report.stopped_naturally == (cap > 5_000)
 
 
