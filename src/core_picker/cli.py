@@ -122,9 +122,7 @@ def _write_csv(path, header, rows):
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)  # shortest digits that round-trip the double exactly
-    return str(v)
+    return str(v)  # a float, numpy's too, in the shortest digits that round-trip it
 
 
 def cmd_learn(args) -> int:

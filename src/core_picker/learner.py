@@ -17,7 +17,7 @@ is that of checking each epoch, while the oracle's count also holds the
 window's draws past the first pass, which no report reads.
 
 A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
-the rank gather ``index`` and one n x n array ``totals`` of prefix sums.
+the permutations' n x n ``ranks`` and one n x n array ``totals`` of prefix sums.
 
 Each estimate is shifted onto the efficiency plane of the true mu(N), which
 treats mu(N) as known: ``oracle.mu_grand`` is, besides n, the one value the
@@ -117,31 +117,23 @@ def _draw_window(oracle: RewardOracle, prefixes, totals: np.ndarray, steps) -> n
     return np.cumsum(buf, axis=0, out=buf)[1:]
 
 
-def rank_index(ranks: np.ndarray) -> np.ndarray:
-    """Flat positions p * n + ranks[p, i] of an n x n table, built once per run.
-
-    Gathering a by-rank table at these positions puts row p in player order
-    (``ranks[p, i]`` is the rank of player i under permutation p).
-    """
-    n = len(ranks)
-    return ranks + n * np.arange(n)[:, None]
-
-
-def vertex_estimates(totals: np.ndarray, epochs, index: np.ndarray,
+def vertex_estimates(totals: np.ndarray, epochs, ranks: np.ndarray,
                      mu_grand: float) -> np.ndarray:
     """Row p: the mean marginal vector of permutation p, player-indexed,
     shifted onto the efficiency hyperplane of ``mu_grand``.
 
-    Prefix totals telescope into per-rank means, which ``index`` (from
-    :func:`rank_index`) gathers into player order.  ``totals`` is one n x n
-    table, or a (w, n, n) stack with ``epochs`` a length-w sequence.
+    Prefix totals telescope into per-rank means, which the n x n ``ranks``
+    put in player order (``ranks[p, i]`` is player i's rank under permutation
+    p).  ``totals`` is one n x n table, or a (w, n, n) stack with ``epochs`` a
+    length-w sequence.
     """
     by_rank = np.array(totals, dtype=np.float64)
     by_rank[..., 1:] -= totals[..., :-1]
     by_rank /= np.asarray(epochs, dtype=np.float64)[..., None, None]
     n = by_rank.shape[-1]
-    # take keeps the result C-ordered, so each row sums as in the n x n case
-    estimates = by_rank.reshape(by_rank.shape[:-2] + (n * n,)).take(index, axis=-1)
+    # take at flat positions p * n + rank keeps rows C-ordered: each sums as for one table
+    estimates = by_rank.reshape(by_rank.shape[:-2] + (n * n,)).take(
+        ranks + n * np.arange(n)[:, None], axis=-1)
     estimates += (mu_grand - estimates.sum(axis=-1, keepdims=True)) / n
     return estimates
 
@@ -285,11 +277,11 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     n = oracle.n
     perms = resolve_permutations(config.perm_choice, n)
     prefixes = [S for w in perms for S in prefix_coalitions(w)]
-    index = rank_index(np.array([w.ranks for w in perms]))
+    ranks = np.array([w.ranks for w in perms])
     totals = np.zeros((n, n))
     for window, steps, bonuses in check_schedule(n, config.delta, config.max_epochs):
         stack = _draw_window(oracle, prefixes, totals, steps)  # row i: the totals at check i
-        estimates = vertex_estimates(stack, window, index, oracle.mu_grand)
+        estimates = vertex_estimates(stack, window, ranks, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():
             first = int(passed.argmax())

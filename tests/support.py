@@ -149,7 +149,8 @@ def reference_stopping_condition(estimates, bonus):
 
 
 def sum_zero(v: np.ndarray) -> np.ndarray:
-    return v - v.mean()
+    """``v - v.mean()``, without ``mean``'s wrapper: the same reduction and bytes."""
+    return v - np.add.reduce(v) / len(v)
 
 
 def random_box_point(rng, box: Box) -> np.ndarray:
@@ -172,7 +173,7 @@ def random_box_corner(rng, box: Box) -> np.ndarray:
     bit-generator state as ``rng.choice([-1.0, 1.0], size=n)``, at less cost.
     """
     shift = sum_zero(box.radius * _SIGNS[rng.integers(0, 2, size=len(box.center))])
-    peak = np.abs(shift).max()
+    peak = np.maximum.reduce(np.abs(shift))  # .max() without its wrapper
     if peak > box.radius:
         shift *= box.radius / peak
     return box.center + shift

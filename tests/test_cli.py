@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from core_picker import cli
@@ -299,6 +300,22 @@ def test_sweep_reproduces_committed_output(tmp_path, name, argv):
         summary = subprocess.run([sys.executable, str(SUMMARIZE), str(out)],
                                  capture_output=True, check=True)
         assert summary.stdout == (OUT / name.replace("_sweep", "_medians")).read_bytes()
+
+
+@pytest.mark.parametrize("argv", shell_commands(REPRODUCE, "python3 scripts/summarize_sweep.py "),
+                         ids=lambda argv: Path(argv[2]).name)
+def test_committed_medians_summarize_the_committed_sweeps(argv):
+    _, _, sweep, redirect, medians = argv
+    assert redirect == ">"
+    summary = subprocess.run([sys.executable, str(SUMMARIZE), str(OUT.parent / sweep)],
+                             capture_output=True, check=True)
+    assert summary.stdout == (OUT.parent / medians).read_bytes()
+
+
+def test_csv_fields_spell_numpy_floats_as_python_floats():
+    assert cli._fmt(np.float64(0.1)) == "0.1"
+    assert cli._fmt(0.1) == "0.1"
+    assert cli._fmt(True) == "true"
 
 
 def test_trial_streams_are_stable_and_distinct():

@@ -495,6 +495,13 @@ def test_box_corners_match_the_generator_choice_draw(n):
     assert fast.bit_generator.state == reference.bit_generator.state
 
 
+def test_sum_zero_gives_the_bytes_of_subtracting_the_mean():
+    rng = np.random.default_rng(11)
+    for n in range(2, 21):
+        for v in (rng.normal(size=n), rng.uniform(-1e3, 1e3, size=n)):
+            assert sum_zero(v).tobytes() == (v - v.mean()).tobytes()
+
+
 def test_no_common_point_when_hyperplane_pierces_all_boxes():
     # collinear centers: a single line meets every box, and some corner
     # selection excludes the candidate common point

@@ -23,7 +23,6 @@ from core_picker.learner import (
     check_schedule,
     common_points_picking,
     confidence_bonus,
-    rank_index,
     resolve_permutations,
     run_epochs,
     stop_bonus_ceiling,
@@ -184,8 +183,8 @@ def test_an_advance_hands_every_draw_the_same_ready_count():
         assert type(arg) is np.ndarray and arg.shape == ()
 
 
-def index_of(perms):
-    return rank_index(np.array([w.ranks for w in perms]))
+def ranks_of(perms):
+    return np.array([w.ranks for w in perms])
 
 
 def telescoped_means(totals, epochs, perms):
@@ -206,7 +205,7 @@ def test_noise_free_epoch_recovers_exact_vertices():
     oracle = noise_free(game, 5)
     perms = resolve_permutations("adjacent", 3)
     totals = advance(oracle, perms, 1)
-    estimates = vertex_estimates(totals, 1, index_of(perms), game.mu_grand)
+    estimates = vertex_estimates(totals, 1, ranks_of(perms), game.mu_grand)
     for est, w in zip(estimates, perms):
         assert np.allclose(est, marginal_vector(game, w), atol=1e-15)
 
@@ -226,7 +225,7 @@ def test_estimates_are_projected_running_means():
     oracle = RewardOracle(game, seed=3)
     perms = resolve_permutations("adjacent", 3)
     totals = advance(oracle, perms, 50)
-    estimates = vertex_estimates(totals, 50, index_of(perms), game.mu_grand)
+    estimates = vertex_estimates(totals, 50, ranks_of(perms), game.mu_grand)
     raw = telescoped_means(totals, 50, perms)
     for p in range(3):
         projected = raw[p] + (game.mu_grand - raw[p].sum()) / 3
@@ -243,9 +242,9 @@ def test_window_stack_estimates_equal_single_tables():
     for k in (3, 4, 5):
         totals = advance(oracle, perms, k, totals)
         tables.append(totals.copy())
-    stacked = vertex_estimates(np.array(tables), epochs, index_of(perms), game.mu_grand)
+    stacked = vertex_estimates(np.array(tables), epochs, ranks_of(perms), game.mu_grand)
     for table, ep, est in zip(tables, epochs, stacked):
-        assert np.array_equal(est, vertex_estimates(table, ep, index_of(perms), game.mu_grand))
+        assert np.array_equal(est, vertex_estimates(table, ep, ranks_of(perms), game.mu_grand))
         raw = telescoped_means(table, ep, perms)
         assert np.allclose(est, raw + (game.mu_grand - raw.sum(axis=1, keepdims=True)) / 9,
                            rtol=0.0, atol=1e-12)
@@ -256,7 +255,7 @@ def test_bernoulli_unit_game_estimates_concentrate():
     oracle = RewardOracle(game, seed=123)
     perms = resolve_permutations("adjacent", 3)
     totals = advance(oracle, perms, 1000)
-    estimates = vertex_estimates(totals, 1000, index_of(perms), game.mu_grand)
+    estimates = vertex_estimates(totals, 1000, ranks_of(perms), game.mu_grand)
     assert np.abs(estimates - 1 / 3).max() < 0.05
 
 
@@ -324,7 +323,7 @@ def test_stacked_stopping_equals_per_item_calls(singular):
 def test_no_estimates_pass_above_the_bonus_ceiling(n):
     # by-rank means anywhere in [-1, 1], the corners included, projected as a run does
     rng = np.random.default_rng(100 + n)
-    index = index_of(resolve_permutations("cyclic", n))
+    index = ranks_of(resolve_permutations("cyclic", n))
     ceiling = stop_bonus_ceiling(n)
     for mu_grand in (0.0, 0.5, 1.0):
         corners = rng.choice([-1.0, 1.0], (1000, n, n))
@@ -655,9 +654,9 @@ def test_the_first_window_holds_every_check_that_cannot_stop(monkeypatch):
         seen.append((list(bonuses), passed))
         return passed
 
-    def counted_estimates(totals, epochs, index, mu_grand):
+    def counted_estimates(totals, epochs, ranks, mu_grand):
         estimated.append(list(epochs))
-        return vertex_estimates(totals, epochs, index, mu_grand)
+        return vertex_estimates(totals, epochs, ranks, mu_grand)
 
     monkeypatch.setattr(learner, "stopping_condition", counted)
     monkeypatch.setattr(learner, "vertex_estimates", counted_estimates)
@@ -745,7 +744,7 @@ def one_check_per_epoch(oracle, config):
             draw_row_major(totals, oracle, chains, target - epoch)
             epoch = target
             if result is None:
-                estimates = vertex_estimates(totals, epoch, index_of(perms), oracle.mu_grand)
+                estimates = vertex_estimates(totals, epoch, ranks_of(perms), oracle.mu_grand)
                 bonus = confidence_bonus(epoch, n, config.delta)
                 if stopping_condition(estimates, bonus):
                     result = estimates, epoch, bonus, True
