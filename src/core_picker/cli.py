@@ -21,6 +21,7 @@ import numpy as np
 
 from .games import (
     MAX_PLAYERS,
+    STRICT_COEFF,
     gen_convex_boundary,
     gen_permutahedron,
     gen_strictly_convex,
@@ -32,7 +33,7 @@ from .learner import DEFAULT_MAX_EPOCHS, PERMUTATIONS, LearnerConfig, common_poi
 from .oracle import NOISE_MODELS, RewardOracle
 from .verify import core_membership
 
-MAX_CW_PLAYERS = 200  # a trial's cost grows as n^4; this keeps a 500-trial call to minutes
+MAX_CW_PLAYERS = 100  # simplex_width's one stack, n^2 (n - 1) doubles, stays under 8 MiB
 MAX_TRIALS = 10_000   # per player count; the job list is built before any worker starts
 
 GENERATORS = {
@@ -78,7 +79,7 @@ def _sweep_worker(args):
 def _cw_worker(args):
     n, trial, seed = args
     game_stream, _ = trial_streams(seed, n, trial)
-    increments = marginal_increments(n, game_stream, coeff=0.9)
+    increments = marginal_increments(n, game_stream, coeff=STRICT_COEFF)
     margin = float(np.min(np.diff(increments)))
     vertices = increments[(np.arange(n)[:, None] + np.arange(n)) % n]  # row k: rotation by k
     width = simplex_width(vertices)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PLAYERS = 20  # 2**20 table entries keeps exhaustive scans at desk scale
+STRICT_COEFF = 0.9  # increment noise of the strict games; below 1 keeps them strictly convex
 
 Coalition = int
 
@@ -166,7 +167,7 @@ def marginal_vector(game: GameSpec, w: Permutation) -> np.ndarray:
     return by_arrival[list(w.ranks)]
 
 
-def marginal_increments(n: int, seed, coeff: float = 0.9) -> np.ndarray:
+def marginal_increments(n: int, seed, coeff: float = STRICT_COEFF) -> np.ndarray:
     """Per-size reward increments of a generated game, normalized to sum 1.
 
     Entry k is mu(any coalition of size k+1) - mu(any coalition of size k)
@@ -196,8 +197,8 @@ def _increment_game(n: int, seed, coeff: float) -> GameSpec:
 
 
 def gen_strictly_convex(n: int, seed) -> GameSpec:
-    """Random strictly convex game with noise amplitude 0.9 on the increments."""
-    return _increment_game(n, seed, coeff=0.9)
+    """Random strictly convex game with noise amplitude STRICT_COEFF on the increments."""
+    return _increment_game(n, seed, coeff=STRICT_COEFF)
 
 
 def gen_convex_boundary(n: int, seed) -> GameSpec:

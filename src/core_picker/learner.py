@@ -225,7 +225,7 @@ def stop_bonus_ceiling(n: int) -> float:
 @functools.lru_cache
 def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
     """A run's checks as ``(epochs, steps, bonuses)``, one per window (2^j, 2^(j+1)]:
-    each step, a Python int, is its epoch less the previous check's, or 0.
+    each step, a Python int, is its epoch less the previous check's.
 
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
     ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The bonus falls with

@@ -185,6 +185,7 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         ["learn", "--n", "3", "--gen", "unit", "--max-epochs", "1000000000000000000000"],
         ["sweep", "--n-max", "2", "--trials", "1", "--max-epochs", "0"],
         ["cw", "--n", "201"],
+        ["cw", "--n", "101"],
         ["learn", "--n", "3", "--seed", "-1"],
         ["sweep", "--n-max", "2", "--trials", "1", "--seed", "-1"],
         ["cw", "--n", "10", "--trials", "1", "--seed", "-1"],

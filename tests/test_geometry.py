@@ -18,7 +18,7 @@ from support import (
     sum_zero,
 )
 
-from core_picker import geometry
+from core_picker import cli
 from core_picker.games import (
     Permutation,
     adjacent_permutations,
@@ -104,20 +104,17 @@ def width_cases():
     return cases
 
 
-@pytest.mark.parametrize("block", [None, 2 * 6 * 7])
-def test_simplex_width_bit_identical_to_per_reference_svds(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
-        svd, stacks = np.linalg.svd, []
+def test_simplex_width_bit_identical_to_per_reference_svds(monkeypatch):
+    svd, stacks = np.linalg.svd, []
 
-        def counting_svd(a, **kwargs):
-            stacks.append(len(a))
-            return svd(a, **kwargs)
+    def counting_svd(a, **kwargs):
+        stacks.append(len(a))
+        return svd(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        simplex_width(np.random.default_rng(0).normal(size=(7, 7)))
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        assert stacks == [2, 2, 2, 1]  # n = 7 square: at most two 7x6 matrices a block
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    simplex_width(np.random.default_rng(0).normal(size=(7, 7)))
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert stacks == [7]  # one call holding all seven 7x6 matrices
     for pts in width_cases():
         expected = per_reference_width(pts)
         assert simplex_width(pts) == expected
@@ -125,17 +122,16 @@ def test_simplex_width_bit_identical_to_per_reference_svds(monkeypatch, block):
             assert expected == 0.0
 
 
-def test_simplex_width_holds_one_block_at_a_time(monkeypatch):
-    block = 1 << 15  # nine 60x59 matrices; the whole stack is 6.5 blocks
-    monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
-    pts = np.random.default_rng(1).normal(size=(60, 60))
+def test_simplex_width_at_the_cw_cap_peaks_below_eight_mib():
+    n = cli.MAX_CW_PLAYERS
+    pts = np.random.default_rng(1).normal(size=(n, n))
     tracemalloc.start()
     try:
         simplex_width(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * block  # one block plus numpy's 64 KiB ufunc buffer
+    assert peak < 8 * (1 << 20)  # 2^20 doubles; the one stack is n^2 (n - 1) of them
 
 
 def test_simplex_width_needs_two_points():
