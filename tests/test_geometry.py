@@ -104,17 +104,22 @@ def width_cases():
     return cases
 
 
-def test_simplex_width_bit_identical_to_per_reference_svds(monkeypatch):
-    svd, stacks = np.linalg.svd, []
+@pytest.mark.parametrize("counted", [None, 2 * 6 * 7])
+def test_simplex_width_bit_identical_to_per_reference_svds(monkeypatch, counted):
+    if counted is not None:
+        svd, stacks = np.linalg.svd, []
 
-    def counting_svd(a, **kwargs):
-        stacks.append(len(a))
-        return svd(a, **kwargs)
+        def counting_svd(a, **kwargs):
+            stacks.append(len(a))
+            return svd(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    simplex_width(np.random.default_rng(0).normal(size=(7, 7)))
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    assert stacks == [7]  # one call holding all seven 7x6 matrices
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for n in (7, counted):
+            simplex_width(np.random.default_rng(0).normal(size=(n, n)))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert stacks == [7, counted]  # one call a set, holding all n of its n x (n - 1) matrices
+        pts = np.random.default_rng(0).normal(size=(counted, counted))
+        assert simplex_width(pts) == per_reference_width(pts)
     for pts in width_cases():
         expected = per_reference_width(pts)
         assert simplex_width(pts) == expected
