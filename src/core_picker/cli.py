@@ -7,8 +7,8 @@ cyclic-permutation vertex simplices over random strictly convex games.
 
 All outputs are CSV with fixed headers; rows are computed in parallel worker
 processes and sorted before writing, so outputs are byte-identical for a fixed
-seed regardless of worker count.  A call starts at most min(requested, CPU
-count, jobs) workers, where CORE_PICKER_THREADS sets the request (default 8).
+seed regardless of worker count.  A call starts at most min(CORE_PICKER_THREADS
+(default 8), the CPUs this process may run on, jobs) workers.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .verify import core_membership
 
 MAX_CW_PLAYERS = 100  # simplex_width's one stack, n^2 (n - 1) doubles, stays under 8 MiB
 MAX_TRIALS = 10_000   # per player count; the job list is built before any worker starts
+MAX_SWEEP_PLAYERS = 10  # the largest player count a sweep accepts, as its --n-max
 
 GENERATORS = {
     "strict": gen_strictly_convex,
@@ -87,13 +88,14 @@ def _cw_worker(args):
 
 
 def _worker_count() -> int:
-    """Pool size: CORE_PICKER_THREADS (default 8), at most the CPU count."""
+    """Pool size: CORE_PICKER_THREADS (default 8), at most the CPUs this process may run on."""
     value = os.environ.get("CORE_PICKER_THREADS", "8")
     try:
         requested = max(1, int(value))
     except ValueError:  # int() would name the value but not where it came from
         raise ValueError(f"CORE_PICKER_THREADS must be an integer, not {value!r}") from None
-    return min(requested, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(requested, cpus or 1)
 
 
 def _parallel_map(fn, jobs):
@@ -177,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sample counts across player counts")
     sweep.add_argument("--n-min", type=int, default=2)
-    sweep.add_argument("--n-max", type=int, default=6)
+    sweep.add_argument("--n-max", type=int, default=6, help=f"at most {MAX_SWEEP_PLAYERS}")
     sweep.add_argument("--trials", type=int, default=20,
                        help=f"trials per player count, in 1..{MAX_TRIALS}")
     sweep.add_argument("--gen", choices=["strict", "convex"], default="strict")
@@ -212,8 +214,8 @@ def _validate(parser, args) -> None:
             parser.error(f"--trials must be in 1..{MAX_TRIALS}")
     if args.command == "learn" and not 2 <= args.n <= MAX_PLAYERS:
         parser.error(f"--n must be in 2..{MAX_PLAYERS}")  # before trial_streams sees it
-    if args.command == "sweep" and not 2 <= args.n_min <= args.n_max <= 10:
-        parser.error("need 2 <= n-min <= n-max <= 10")
+    if args.command == "sweep" and not 2 <= args.n_min <= args.n_max <= MAX_SWEEP_PLAYERS:
+        parser.error(f"need 2 <= n-min <= n-max <= {MAX_SWEEP_PLAYERS}")
     if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
         parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
     if args.command == "cw" and len(set(args.n)) < len(args.n):

@@ -31,11 +31,11 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     reaching it; the efficiency gap is |x(N) - mu(N)|.  Membership requires
     both within tol.  An allocation must hold exactly n entries.
 
-    The scan holds no 2^n array besides the game's own table.  It runs over
-    blocks of 2^16 masks that share their high bits: a block starts from the
-    sums of the low players and adds each high player present in ascending
-    order, which is the order of :func:`subset_sums`, so every x(S) and
-    the report are bit-identical to subtracting one full table of sums.
+    The scan holds no 2^n array besides the game's own table.  Over blocks of
+    2^16 masks sharing their high bits, it starts from the low players' sums,
+    adds each high player present in ascending order as :func:`subset_sums`
+    does, and keeps the first worst coalition as it goes (a NaN wins and
+    stays), so the report is bit-identical to one argmax over a full table.
     """
     x = np.asarray(x, dtype=np.float64)
     n, mu = game.n, game.mu
@@ -46,25 +46,21 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     size = low_sums.size
     blocks = 1 << (n - low)
     slack = np.empty(size)
-    peaks = np.empty(blocks)
-    firsts = np.empty(blocks, dtype=np.int64)
+    max_violation, worst = -np.inf, 0
     for b in range(blocks):
         np.copyto(slack, low_sums)
         for p in range(low, n):
             if b >> (p - low) & 1:
                 slack += x[p]
-        if b == blocks - 1:
-            grand_sum = float(slack[-1])  # x(N), before the block turns into slack
+        grand_sum = float(slack[-1])  # x(N) once the last block is reached
         np.subtract(mu[b * size:(b + 1) * size], slack, out=slack)
         if b == 0:
             slack[0] = -np.inf
         if b == blocks - 1:
             slack[-1] = -np.inf  # the grand coalition is judged by the efficiency gap
-        firsts[b] = np.argmax(slack)
-        peaks[b] = slack[firsts[b]]
-    best = int(np.argmax(peaks))  # first block holding the maximum, as one argmax would
-    worst = best * size + int(firsts[best])
-    max_violation = float(peaks[best])
+        first = int(np.argmax(slack))
+        if not slack[first] <= max_violation and max_violation == max_violation:  # argmax's rule
+            max_violation, worst = float(slack[first]), b * size + first
     efficiency_gap = abs(grand_sum - game.mu_grand)
     return MembershipReport(
         is_member=(max_violation <= tol and efficiency_gap <= tol),

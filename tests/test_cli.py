@@ -97,7 +97,8 @@ def test_sweep_csv_is_deterministic(tmp_path):
 ], ids=["cw", "sweep"])
 def test_sweep_parallel_and_serial_agree(tmp_path, monkeypatch, args):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the second call starts a pool on any host
+    # the second call starts a pool on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setenv("CORE_PICKER_THREADS", "1")
     assert main(args + ["--out", str(a)]) == 0
     monkeypatch.setenv("CORE_PICKER_THREADS", "3")
@@ -107,13 +108,17 @@ def test_sweep_parallel_and_serial_agree(tmp_path, monkeypatch, args):
 
 def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch):
     monkeypatch.delenv("CORE_PICKER_THREADS", raising=False)
-    for cpus, expected in ((2, 2), (16, 8), (None, 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for cpus, expected in ((2, 2), (16, 8)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert cli._worker_count() == expected
     for requested, cpus, expected in (("5000", 2, 2), ("3", 16, 3), ("0", 4, 1)):
         monkeypatch.setenv("CORE_PICKER_THREADS", requested)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert cli._worker_count() == expected
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # a platform without affinity
+    monkeypatch.delenv("CORE_PICKER_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count() == 1
 
     started = []
 
@@ -132,10 +137,20 @@ def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setenv("CORE_PICKER_THREADS", "6")
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     for jobs in (2, 10, 1, 0):
         assert cli._parallel_map(abs, list(range(-jobs, 0))) == list(range(jobs, 0, -1))
     assert started == [2, 6]
+
+
+def test_pool_size_follows_the_cpus_this_process_may_run_on(monkeypatch):
+    # one CPU allowed of four counted: a larger pool would only share it
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.delenv("CORE_PICKER_THREADS", raising=False)
+    assert cli._worker_count() == 1
+    monkeypatch.setenv("CORE_PICKER_THREADS", "8")
+    assert cli._worker_count() == 1
 
 
 def test_importing_the_cli_loads_no_process_pool():
