@@ -56,8 +56,12 @@ def confidence_bonus(ep: int, n: int, delta: float) -> float:
     that event each telescoped coordinate lies within b.  The projection onto
     mu(N) can add up to b/(2n), and summed over the C checks of
     :func:`check_schedule` (C = 549 at the default cap, 878 at 2**63 - 1) the
-    failure chance exceeds delta.  ROADMAP item 5 closes that gap."""
-    return math.sqrt(2.0 * math.log(n * ep / delta) / ep)
+    failure chance exceeds delta; a union over the checks as well would close
+    that gap.  For delta below about 1e-290 the quotient can overflow, and an
+    infinite bonus never stops a run, so the log is then taken as a difference."""
+    ratio = n * ep / delta
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(n * ep) - math.log(delta)
+    return math.sqrt(2.0 * log_ratio / ep)
 
 
 PERMUTATIONS = {  # the n arrival orders of each permutation choice
@@ -147,7 +151,7 @@ def min_pass_altitude(n: int, bonus, l1):
     ``bonus``, which reaches bonus ||v||_1 along v, by n eps: altitude - eps -
     bonus ||v||_1 >= n eps.  A lower bound on ||v||_1 gives a lower floor.
 
-    A pass makes the estimates' mean m a common point (ROADMAP item 9's
+    A pass makes the estimates' mean m a common point (the common-point
     lemma).  Let each true vertex be x^q + e^q, on the estimates' plane with
     |e^q|_inf <= r = (1 + 1/(2n)) bonus (the projection adds bonus/(2n)).
     The weight of x^p is affine with gradient v_p/h_p, so m = sum_q w_q (x^q

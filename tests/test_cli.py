@@ -75,6 +75,14 @@ def test_learn_cyclic_choice_also_accepts(tmp_path):
     assert rows[0][6] == "true" and float(rows[0][7]) <= 0.0
 
 
+def test_learn_stops_inside_the_core_at_the_least_positive_delta(tmp_path):
+    # n ep / delta overflows here, and an infinite bonus used to run a strict game to the cap
+    out = tmp_path / "least_delta.csv"
+    assert main(["learn", "--n", "3", "--delta", "5e-324", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert rows[0][6] == "true" and float(rows[0][7]) <= 0.0
+
+
 def test_readme_learn_examples_run():
     commands = shell_commands(README, "core-picker learn ")
     assert commands

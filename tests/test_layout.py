@@ -4,7 +4,9 @@ a private name that nothing else in ``src/`` reads is dead, and a defaulted
 parameter that no call passes is a knob nobody turns.  The learner reads no
 game table, only the n and mu(N) its oracle exposes.  A tolerance is a named
 module constant, stated once.  Docstrings keep derivations; a timing, host or
-version goes stale with the next change, so it belongs in CHANGES.md."""
+version goes stale with the next change, so it belongs in CHANGES.md, and a
+ROADMAP item number goes stale when the plan is renumbered, so a docstring
+states the reason itself."""
 
 import ast
 import re
@@ -111,15 +113,24 @@ def test_learner_reads_the_game_only_through_n_and_mu_grand():
 MEASUREMENT = re.compile(r"\d\s*(?:ns|µs|us)\b|x86|Python 3\.|numpy 2\.")
 
 
-def test_no_docstring_in_src_quotes_a_measurement():
-    quoted = []
+def src_docstrings():
+    """``(file:name, docstring)`` of the module, each class and each function of ``src/``."""
     for path in sorted((ROOT / "src" / "core_picker").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
-                found = MEASUREMENT.search(ast.get_docstring(node) or "")
-                if found:
-                    quoted.append(f"{path.name}:{getattr(node, 'name', 'module')}: {found.group()}")
+                where = f"{path.name}:{getattr(node, 'name', 'module')}"
+                yield where, ast.get_docstring(node) or ""
+
+
+def test_no_docstring_in_src_quotes_a_measurement():
+    quoted = [f"{where}: {found.group()}" for where, doc in src_docstrings()
+              if (found := MEASUREMENT.search(doc))]
     assert quoted == []
+
+
+def test_no_docstring_in_src_cites_a_roadmap_item():
+    # the plan renumbers and prunes its items, so "ROADMAP item 5" soon names another task
+    assert [where for where, doc in src_docstrings() if "ROADMAP" in doc] == []
 
 
 TOLERANCE = 1e-6  # a float literal of smaller magnitude, but not zero, is a tolerance

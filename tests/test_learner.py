@@ -68,6 +68,24 @@ def test_bonus_decays_to_zero():
     assert values[-1] < 1e-3
 
 
+def test_bonus_keeps_its_closed_form_where_the_quotient_is_finite():
+    for n in (2, 3, 20):
+        for ep in (1, 2, 64, 10**6, 10**12, 2**63 - 1):
+            for delta in (0.5, 0.1, 1e-10, 1e-100, 1e-280, 1e-300, 1e-307):
+                if n * ep / delta < math.inf:
+                    expected = math.sqrt(2 * math.log(n * ep / delta) / ep)
+                    assert confidence_bonus(ep, n, delta) == expected, (n, ep, delta)
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_schedule_bonuses_stay_finite_and_falling_at_the_least_delta(n):
+    # n ep / 5e-324 overflows at every epoch: an infinite bonus would never stop a run
+    assert n / 5e-324 == math.inf
+    bonuses = [b for _, _, window in check_schedule(n, 5e-324, DEFAULT_MAX_EPOCHS) for b in window]
+    assert all(math.isfinite(b) for b in bonuses)
+    assert all(a > b for a, b in zip(bonuses, bonuses[1:]))
+
+
 # ---------------------------------------------------------------------------
 # configuration and permutation resolution
 
@@ -154,11 +172,8 @@ def test_a_run_caches_one_mean_per_prefix_it_queries():
         assert report.stopped_naturally
         cached = oracle._means
         assert set(cached) == prefixes and len(cached) <= n * n
-        for S, mean in cached.items():
-            if noise == "bernoulli":  # ready for numpy's binomial: a 0-d float64 array
-                assert type(mean) is np.ndarray and mean.shape == () and mean.dtype == np.float64
-            else:  # ready for operator.mul: a Python float
-                assert type(mean) is float
+        for S, mean in cached.items():  # ready for numpy's binomial: a 0-d float64 array
+            assert type(mean) is np.ndarray and mean.shape == () and mean.dtype == np.float64
             assert float(mean) == float(game.mu[S])
 
 

@@ -24,13 +24,6 @@ def test_noise_model_parsing():
             RewardOracle(game, 0, tag)
 
 
-def test_empty_coalition_is_free():
-    oracle = RewardOracle(gen_strictly_convex(3, 0), seed=0)
-    assert oracle.query(0) == 0.0
-    assert oracle.query_sum(0, 1000) == 0.0
-    assert oracle.total_queries == 0
-
-
 def test_counter_increments_per_query():
     oracle = RewardOracle(gen_strictly_convex(3, 0), seed=0)
     oracle.query(1)
@@ -50,25 +43,22 @@ def test_determinism_same_seed_same_rewards():
 
 @pytest.mark.parametrize("noise", ["bernoulli", "none"])
 def test_query_sums_equal_plain_numpy_draws(noise):
-    """The sums are those of numpy called with Python scalars, whatever form
-    the oracle hands numpy its arguments in: the stream, the values, their
-    types and the final bit-generator state."""
+    """The sums are those of numpy's binomial, or k mu(S), from Python
+    scalars, whatever form the oracle hands its arguments in: the stream,
+    the values, their types and the final bit-generator state."""
     game = gen_weighted_game(4, 5)
     oracle, rng = RewardOracle(game, 17, noise), np.random.default_rng(17)
-    coalitions = [1, 3, 7, 15, 0, 2, 6, 14, 15, 1]  # repeats, the empty and the grand coalition
+    coalitions = [1, 3, 7, 15, 2, 6, 14, 15, 1]  # repeats and the grand coalition
     queries = 0
     for k in (0, 1, 10**6, 2**63 - 1):
         for S in coalitions:
             got = oracle.query_sum(S, k)
-            if S == 0:  # free: no draw, no sample
-                assert type(got) is float and got == 0.0
-                continue
             queries += k
             mean = float(game.mu[S])
             if noise == "bernoulli":
                 expected, kind = rng.binomial(k, mean), int  # binomial(0, p) draws nothing
             else:
-                expected, kind = k * mean, float
+                expected, kind = k * mean, np.float64
             assert got == expected, (S, k)
             assert k == 0 or type(got) is kind  # a zero count may sum to 0 or 0.0
     assert oracle.total_queries == queries
@@ -115,9 +105,9 @@ def test_a_mask_outside_the_table_draws_and_counts_nothing(noise):
     # mu[-1] is mu(N): a negative mask used to be read as the grand coalition
     oracle = RewardOracle(small_game([0.3, 0.5, 0.8]), 4, noise)
     oracle.query_sum(3, 7)
-    for S in (-1, 4):  # 2^n at n = 2
+    for S in (-1, 0, 4):  # the empty coalition, and 2^n at n = 2
         before = (oracle.rng.bit_generator.state, oracle.total_queries)
-        with pytest.raises(ValueError, match="coalition mask must lie in 0..3"):
+        with pytest.raises(ValueError, match="coalition mask must lie in 1..3"):
             oracle.query_sum(S, 1000)
         assert (oracle.rng.bit_generator.state, oracle.total_queries) == before, S
     assert oracle.total_queries == 7
