@@ -21,10 +21,6 @@ HULL_TOL = 1e-8
 MAX_COORDINATE = 1e12
 
 
-class DegenerateSimplexError(ValueError):
-    """The vertex set is affinely degenerate where a proper simplex is required."""
-
-
 def simplex_width(points) -> float:
     """min over reference vertices i of the smallest singular value of the
     coordinate matrix whose columns are x^j - x^i, j ascending with i left out.
@@ -139,8 +135,8 @@ def in_simplex(x, vertices) -> bool:
 
     Solves for affine weights summing to one and accepts iff every weight is
     at least -MEMBERSHIP_TOL.  Points off the affine hull of the vertices are
-    outside.  Raises DegenerateSimplexError when the weight system [V^T; 1]
-    has a singular value at most RANK_TOL, as computed by its least-squares solve.
+    outside.  Raises ValueError when the weight system [V^T; 1] has a singular
+    value at most RANK_TOL, as computed by its least-squares solve.
     The smallest one is at most ``simplex_width``: for any of its coordinate
     matrices D and any unit vector u, weighting the reference vertex -sum(u)
     and the others u gives w with ||w|| >= 1 and ||[V^T; 1] w|| = ||D u||.
@@ -153,7 +149,7 @@ def in_simplex(x, vertices) -> bool:
     rhs = np.concatenate([x, [1.0]])
     weights, _, _, singular = np.linalg.lstsq(system, rhs, rcond=None)
     if len(singular) < n or singular[-1] <= RANK_TOL:
-        raise DegenerateSimplexError("vertices are affinely degenerate")
+        raise ValueError("vertices are affinely degenerate")
     residual = np.abs(system @ weights - rhs).max()
     scale = 1.0 + np.abs(rhs).max()
     if residual > HULL_TOL * scale:

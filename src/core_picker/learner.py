@@ -234,17 +234,17 @@ def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
     ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The bonus falls with
     the epoch, so a window whose last bonus exceeds :func:`stop_bonus_ceiling`
-    by more than ``SKIP_SLACK`` cannot stop.  Such windows are folded into the
-    first window, which ends with the first window that can stop or with the
-    cap; its checks above the ceiling all fail.  Runs share the cached
-    schedule, made of tuples.
+    cannot stop.  Such windows are folded into the first window, which ends
+    with the first window whose last bonus is at most the ceiling, or with the
+    cap.  Every check is still decided, so the fold only groups checks into
+    fewer calls.  Runs share the cached schedule, made of tuples.
     """
     windows, t = {}, 0
     while t < max_epochs:
         s, t = t, min(t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH)),
                       max_epochs)
         windows.setdefault((t - 1).bit_length(), []).append((t, t - s))
-    ceiling = stop_bonus_ceiling(n) * (1.0 + SKIP_SLACK)
+    ceiling = stop_bonus_ceiling(n)
     schedule, checks = [], []
     for window in windows.values():
         checks += window

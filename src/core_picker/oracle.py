@@ -61,8 +61,8 @@ class RewardOracle:
 
         A Bernoulli sum is the int numpy draws, a noise-free one the
         np.float64 k mu(S), both from the 0-d arrays of the cached mean and
-        the count.  A count must be an integer in 0..MAX_COUNT and a mask one
-        of 1..2^n - 1; a rejected count or mask draws and counts nothing.
+        the count.  A count must be an integer in 0..MAX_COUNT and a mask an
+        integer in 1..2^n - 1; a rejected count or mask draws and counts nothing.
         """
         if k is not self._count:  # a new count: checked and converted once per advance
             k = operator.index(k)
@@ -72,8 +72,9 @@ class RewardOracle:
         try:
             mean = self._means[S]
         except KeyError:
-            if not 0 < S < len(self._mu):  # mu[-1] would read mu(N)
+            mask = operator.index(S) if hasattr(S, "__index__") else 0  # True as 1, 1.5 as none
+            if not 0 < mask < len(self._mu):  # mu[-1] would read mu(N)
                 raise ValueError(f"coalition mask must lie in 1..{len(self._mu) - 1}, not {S}")
-            mean = self._means[S] = np.array(self._mu[S])
+            mean = self._means[mask] = np.array(self._mu[mask])
         self.total_queries += k
         return self._draw(self._count_arg, mean)

@@ -19,7 +19,6 @@ _SCAN_BITS = 16  # 2^16 coalitions per membership block: 512 KiB of doubles
 class MembershipReport:
     is_member: bool
     max_violation: float
-    worst_coalition: int
     efficiency_gap: float
 
 
@@ -27,15 +26,15 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     """Exhaustive stability check of an allocation against every coalition.
 
     max_violation is the largest mu(S) - x(S) over proper nonempty S (positive
-    means some coalition prefers to deviate), worst_coalition the first mask
-    reaching it; the efficiency gap is |x(N) - mu(N)|.  Membership requires
-    both within tol.  An allocation must hold exactly n entries.
+    means some coalition prefers to deviate); the efficiency gap is
+    |x(N) - mu(N)|.  Membership requires both within tol.  An allocation must
+    hold exactly n entries.
 
     The scan holds no 2^n array besides the game's own table.  Over blocks of
     2^16 masks sharing their high bits, it starts from the low players' sums,
     adds each high player present in ascending order as :func:`subset_sums`
-    does, and keeps the first worst coalition as it goes (a NaN wins and
-    stays), so the report is bit-identical to one argmax over a full table.
+    does, and keeps one running maximum as it goes (a NaN wins and stays), so
+    the report is bit-identical to one max over a full table.
     """
     x = np.asarray(x, dtype=np.float64)
     n, mu = game.n, game.mu
@@ -46,7 +45,7 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     size = low_sums.size
     blocks = 1 << (n - low)
     slack = np.empty(size)
-    max_violation, worst = -np.inf, 0
+    max_violation = -np.inf
     for b in range(blocks):
         np.copyto(slack, low_sums)
         for p in range(low, n):
@@ -58,13 +57,12 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
             slack[0] = -np.inf
         if b == blocks - 1:
             slack[-1] = -np.inf  # the grand coalition is judged by the efficiency gap
-        first = int(np.argmax(slack))
-        if not slack[first] <= max_violation and max_violation == max_violation:  # argmax's rule
-            max_violation, worst = float(slack[first]), b * size + first
+        # np.max's own ufunc, without its wrapper; not Python's max, which drops a later NaN
+        max_violation = np.maximum(max_violation, np.maximum.reduce(slack))
+    max_violation = float(max_violation)
     efficiency_gap = abs(grand_sum - game.mu_grand)
     return MembershipReport(
         is_member=(max_violation <= tol and efficiency_gap <= tol),
         max_violation=max_violation,
-        worst_coalition=worst,
         efficiency_gap=efficiency_gap,
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from core_picker import cli
+from core_picker import cli, verify
 from core_picker.cli import main, run_single, trial_streams
 
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -54,6 +54,15 @@ def test_learn_strict_run_stops_and_is_stable(tmp_path, capsys):
     alloc_line = capsys.readouterr().out.strip()
     assert alloc_line.startswith("allocation: ")
     assert len(alloc_line.split()) == 4
+
+
+def test_learn_exits_one_when_a_stopped_run_lands_outside_the_core(tmp_path, monkeypatch):
+    outside = verify.MembershipReport(is_member=False, max_violation=0.25, efficiency_gap=0.0)
+    monkeypatch.setattr(cli, "core_membership", lambda game, x, tol: outside)
+    out = tmp_path / "outside.csv"
+    assert main(["learn", "--n", "3", "--seed", "1", "--out", str(out)]) == 1
+    _, rows = read_rows(out)  # the row is written before the exit code is decided
+    assert rows[0][6] == "true" and rows[0][7] == "0.25"
 
 
 def test_learn_unit_game_hits_cap_with_flag(tmp_path):

@@ -29,7 +29,6 @@ from core_picker.games import (
 )
 from core_picker.geometry import (
     MAX_COORDINATE,
-    DegenerateSimplexError,
     box_hyperplane_clearance,
     fit_separating_hyperplane,
     in_simplex,
@@ -404,7 +403,7 @@ def test_in_simplex_reflected_vertex_false():
 
 def test_in_simplex_degenerate_raises():
     verts = np.array([[1.0, 0, 0], [0.5, 0.5, 0], [0, 1.0, 0]])
-    with pytest.raises(DegenerateSimplexError):
+    with pytest.raises(ValueError, match="affinely degenerate"):
         in_simplex(np.array([0.5, 0.5, 0.0]), verts)
 
 
@@ -529,6 +528,7 @@ def test_no_common_point_when_hyperplane_pierces_all_boxes():
         try:
             if not in_simplex(x_star, corners):
                 failures += 1
-        except DegenerateSimplexError:
+        except ValueError as exc:
+            assert "affinely degenerate" in str(exc)
             failures += 1
     assert failures > 0

@@ -1,12 +1,13 @@
 """``src/`` holds only what the program, the benchmark or the acceptance suite
 reaches: a public name that only unit tests use belongs in ``tests/support.py``,
-a private name that nothing else in ``src/`` reads is dead, and a defaulted
-parameter that no call passes is a knob nobody turns.  The learner reads no
-game table, only the n and mu(N) its oracle exposes.  A tolerance is a named
-module constant, stated once.  Docstrings keep derivations; a timing, host or
-version goes stale with the next change, so it belongs in CHANGES.md, and a
-ROADMAP item number goes stale when the plan is renumbered, so a docstring
-states the reason itself."""
+a private name that nothing else in ``src/`` reads is dead, and so is a
+dataclass field that none of them reads, and a defaulted parameter that no
+call passes is a knob nobody turns.  The learner reads no game table, only
+the n and mu(N) its oracle exposes.  A tolerance is a named module constant,
+stated once.  Docstrings keep derivations; a timing, host or version goes
+stale with the next change, so it belongs in CHANGES.md, and a ROADMAP item
+number goes stale when the plan is renumbered, so a docstring states the
+reason itself."""
 
 import ast
 import re
@@ -58,6 +59,30 @@ def test_every_public_name_in_src_is_reached():
         return path.name != "__init__.py" and not name.startswith("_") and name not in reached
 
     assert unused_in_src(unreached) == []
+
+
+def dataclass_fields(tree):
+    """``(class, field)`` of each annotated field of each ``@dataclass`` in a tree."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                ast.unparse(d).partition("(")[0] == "dataclass" for d in cls.decorator_list):
+            yield from ((cls.name, node.target.id) for node in cls.body
+                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+
+
+def test_every_dataclass_field_in_src_is_read():
+    # a field that is filled in and never read is bookkeeping for no one:
+    # constructor keywords and the annotation itself are not reads
+    read = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                 *(ROOT / "scripts").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{cls}.{field}"
+              for path in sorted((ROOT / "src" / "core_picker").glob("*.py"))
+              for cls, field in dataclass_fields(ast.parse(path.read_text()))
+              if field not in read]
+    assert unread == []
 
 
 def test_every_private_name_in_src_is_used_in_src():

@@ -105,12 +105,23 @@ def test_a_mask_outside_the_table_draws_and_counts_nothing(noise):
     # mu[-1] is mu(N): a negative mask used to be read as the grand coalition
     oracle = RewardOracle(small_game([0.3, 0.5, 0.8]), 4, noise)
     oracle.query_sum(3, 7)
-    for S in (-1, 0, 4):  # the empty coalition, and 2^n at n = 2
+    for S in (-1, 0, 4, 1.5):  # the empty coalition, 2^n at n = 2, and no integer
         before = (oracle.rng.bit_generator.state, oracle.total_queries)
         with pytest.raises(ValueError, match="coalition mask must lie in 1..3"):
             oracle.query_sum(S, 1000)
         assert (oracle.rng.bit_generator.state, oracle.total_queries) == before, S
     assert oracle.total_queries == 7
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "none"])
+def test_a_bool_mask_is_the_integer_mask(noise):
+    # a fresh oracle once read mu[True] as a boolean index: a (1, 2^n) array of draws
+    game = small_game([0.3, 0.5, 0.8])
+    by_bool, by_int = RewardOracle(game, 6, noise), RewardOracle(game, 6, noise)
+    got, expected = by_bool.query_sum(True, 1000), by_int.query_sum(1, 1000)
+    assert got == expected and type(got) is type(expected)
+    assert by_bool.total_queries == by_int.total_queries == 1000
+    assert by_bool.rng.bit_generator.state == by_int.rng.bit_generator.state
 
 
 def test_bernoulli_degenerate_mean_one():
@@ -134,7 +145,7 @@ def test_mean_correctness_within_three_standard_errors(noise, mu_S, se):
     assert abs(mean - mu_S) < 3 * se
 
 
-def test_uniform_zero_radius_returns_exact_means():
+def test_noise_free_rewards_are_exact_means():
     """noise="none" returns mu(S) itself, and k draws sum to k mu(S) exactly."""
     game = gen_unit_game(3)
     oracle = RewardOracle(game, 0, "none")
