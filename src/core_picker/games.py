@@ -8,6 +8,7 @@ marginal vectors that form the vertices of the core of a convex game.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +55,14 @@ class Permutation:
     """An arrival order for n players.
 
     ``ranks[p]`` is the (0-based) position at which player p arrives; lower
-    rank means earlier arrival.  ``ranks`` must be a bijection on 0..n-1.
+    rank means earlier arrival.  ``ranks`` must be a bijection on 0..n-1 of
+    integers, kept as a tuple of Python ints (``True`` is read as 1).
     """
 
     ranks: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ranks", tuple(map(operator.index, self.ranks)))  # 1.0 raises
         n = len(self.ranks)
         if sorted(self.ranks) != list(range(n)):
             raise ValueError(f"ranks {self.ranks} is not a bijection on 0..{n - 1}")

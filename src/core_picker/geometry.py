@@ -7,8 +7,6 @@ are constrained to have sum-zero normals.
 RANK_TOL decides ranks of singular values and altitudes, MEMBERSHIP_TOL is the
 slack of barycentric weights and HULL_TOL the relative residual allowed off
 their affine hull; MAX_COORDINATE bounds the coordinates the solve accepts.
-The stopping rule's slack, ``learner.SKIP_SLACK``, lives beside the floor it
-loosens.
 """
 
 from __future__ import annotations

@@ -165,9 +165,6 @@ def min_pass_altitude(n: int, bonus, l1):
     return bonus * (2.0 * math.sqrt(n) * (n + 1) + l1)
 
 
-SKIP_SLACK = 1e-9  # relative slack of the floors that skip checks, for their rounding
-
-
 def stopping_condition(estimates, bonus):
     """Whether every estimated vertex x^p clears its separating hyperplane:
     its altitude is at least :func:`min_pass_altitude` of the 1-norm of its
@@ -179,13 +176,12 @@ def stopping_condition(estimates, bonus):
     others, which lies on the opposite facet; the solve's move of each row
     along the all-ones direction onto coordinate sum n is an orthogonal
     projection, which keeps centroids and lengthens no distance, so this holds
-    for the altitudes it measures, rows on different planes included.  So a
-    check with n r below n - 1 times the floor at ||v_p||_1 = 1, less
-    ``SKIP_SLACK`` for rounding in r and the floor, cannot pass.  Any computed
-    unit vector has ||v_p||_1 >= 1, whatever rounding did to its zero sum; the
-    (sqrt(2) - 1) bonus given up against an exact sum-zero normal, at least
-    0.2% of the floor for n <= 20, absorbs the solve's rounding of the
-    altitudes on the coordinates :func:`separating_normals` accepts.
+    for the altitudes it measures, rows on different planes included.  A pass
+    needs ||v_p||_1 >= sqrt(2), up to the rounding of a unit sum-zero vector,
+    and the bound takes ||v_p||_1 = 1: a check with n r below n - 1 times that
+    floor cannot pass.  The (sqrt(2) - 1) bonus given up, at least 0.2% of the
+    floor for n <= 20, covers the rounding of r, of the floor and of the
+    solve's altitudes on the coordinates :func:`separating_normals` accepts.
 
     A (..., n, n) stack of estimates and bonuses that broadcast to its
     leading shape give a boolean array of that shape; other shapes, and a
@@ -201,7 +197,7 @@ def stopping_condition(estimates, bonus):
     offsets = points - np.add.reduce(points, axis=-2, keepdims=True) / n
     nearest = np.sqrt(np.minimum.reduce(  # offsets squared in place: no second stack
         np.add.reduce(np.square(offsets, out=offsets), axis=-1), axis=-1))
-    skip = min_pass_altitude(n, 1.0, 1.0) * ((n - 1) / n * (1.0 - SKIP_SLACK))  # linear in bonus
+    skip = min_pass_altitude(n, 1.0, 1.0) * ((n - 1) / n)  # linear in bonus
     solve = nearest >= bonus * skip
     passed = np.zeros(solve.shape, dtype=bool)
     if solve.any():

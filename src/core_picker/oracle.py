@@ -71,7 +71,7 @@ class RewardOracle:
             self._count, self._count_arg = k, np.array(k)
         try:
             mean = self._means[S]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable mask, such as a 0-d array
             mask = operator.index(S) if hasattr(S, "__index__") else 0  # True as 1, 1.5 as none
             if not 0 < mask < len(self._mu):  # mu[-1] would read mu(N)
                 raise ValueError(f"coalition mask must lie in 1..{len(self._mu) - 1}, not {S}")

@@ -139,6 +139,20 @@ def test_prefix_chain_custom_order():
     assert chain == [0b100, 0b101, 0b111]
 
 
+def test_permutation_ranks_are_python_ints():
+    # numpy once read bool ranks as a mask: a marginal vector of one entry
+    game = gen_strictly_convex(2, 0)
+    by_bool = marginal_vector(game, Permutation((True, False)))
+    assert len(by_bool) == 2
+    assert by_bool.tobytes() == marginal_vector(game, Permutation((1, 0))).tobytes()
+    ranks = Permutation(tuple(np.arange(3, dtype=np.int64)[::-1])).ranks
+    assert ranks == (2, 1, 0) and all(type(r) is int for r in ranks)
+    with pytest.raises(TypeError):
+        Permutation((1.0, 0))
+    with pytest.raises(ValueError, match="bijection"):
+        Permutation((1, 1))
+
+
 @pytest.mark.parametrize("n", [3, 20])
 def test_prefix_masks_are_python_ints(n):
     # the oracle compares and indexes with them; numpy scalars cost more there

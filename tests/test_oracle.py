@@ -115,13 +115,15 @@ def test_a_mask_outside_the_table_draws_and_counts_nothing(noise):
 
 @pytest.mark.parametrize("noise", ["bernoulli", "none"])
 def test_a_bool_mask_is_the_integer_mask(noise):
-    # a fresh oracle once read mu[True] as a boolean index: a (1, 2^n) array of draws
+    # a fresh oracle once read mu[True] as a boolean index: a (1, 2^n) array of
+    # draws, and an unhashable 0-d array failed the cache lookup
     game = small_game([0.3, 0.5, 0.8])
-    by_bool, by_int = RewardOracle(game, 6, noise), RewardOracle(game, 6, noise)
-    got, expected = by_bool.query_sum(True, 1000), by_int.query_sum(1, 1000)
-    assert got == expected and type(got) is type(expected)
-    assert by_bool.total_queries == by_int.total_queries == 1000
-    assert by_bool.rng.bit_generator.state == by_int.rng.bit_generator.state
+    for mask in (True, np.array(1)):
+        by_mask, by_int = RewardOracle(game, 6, noise), RewardOracle(game, 6, noise)
+        got, expected = by_mask.query_sum(mask, 1000), by_int.query_sum(1, 1000)
+        assert got == expected and type(got) is type(expected)
+        assert by_mask.total_queries == by_int.total_queries == 1000
+        assert by_mask.rng.bit_generator.state == by_int.rng.bit_generator.state
 
 
 def test_bernoulli_degenerate_mean_one():
