@@ -209,7 +209,6 @@ def _validate(parser, args) -> None:
     if args.seed < 0:  # numpy's SeedSequence would reject it without naming the option
         parser.error("--seed must be nonnegative")
     if args.command in ("sweep", "cw"):
-        _worker_count()  # a bad CORE_PICKER_THREADS raises before any job is built
         if not 1 <= args.trials <= MAX_TRIALS:
             parser.error(f"--trials must be in 1..{MAX_TRIALS}")
     if args.command == "learn" and not 2 <= args.n <= MAX_PLAYERS:

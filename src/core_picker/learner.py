@@ -11,10 +11,11 @@ Epochs are advanced in batches between checks (the oracle sums whole batches
 at once), with check epochs spaced geometrically: the sampling distribution is
 untouched, and a reported epoch is at most ``CHECK_GROWTH`` times the exact
 one.  :func:`check_schedule` fixes each window's checks, advance sizes and
-bonuses.  A window, the first from epoch 1 on, is decided together, the totals
-at its checks drawn into one buffer, and a run only draws forward: its report
-is that of checking each epoch, while the oracle's count also holds the
-window's draws past the first pass, which no report reads.
+bonuses: the first window runs to the first check that can stop, and each
+later one holds ``CHECKS_PER_WINDOW`` checks.  A window is decided together,
+the totals at its checks drawn into one buffer, and a run only draws forward:
+its report is that of checking each epoch, while the oracle's count also holds
+the window's draws past the first pass, which no report reads.
 
 A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
 the permutations' n x n ``ranks`` and one n x n array ``totals`` of prefix sums.
@@ -46,6 +47,7 @@ from .oracle import MAX_COUNT, RewardOracle
 DEFAULT_MAX_EPOCHS = 10**12
 CHECK_DENSE_UNTIL = 64  # check the stopping rule every epoch up to here
 CHECK_GROWTH = 1.05     # then space checks geometrically
+CHECKS_PER_WINDOW = 1 + int(math.log(2) / math.log(CHECK_GROWTH))  # span < one doubling
 
 
 def confidence_bonus(ep: int, n: int, delta: float) -> float:
@@ -224,31 +226,27 @@ def stop_bonus_ceiling(n: int) -> float:
 
 @functools.lru_cache
 def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
-    """A run's checks as ``(epochs, steps, bonuses)``, one per window (2^j, 2^(j+1)]:
-    each step, a Python int, is its epoch less the previous check's.
+    """A run's checks as ``(epochs, steps, bonuses)``, one per window: each
+    step, a Python int, is its epoch less the previous check's.
 
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
-    ``CHECK_GROWTH``, and the last one is ``max_epochs``.  The bonus falls with
-    the epoch, so a window whose last bonus exceeds :func:`stop_bonus_ceiling`
-    cannot stop.  Such windows are folded into the first window, which ends
-    with the first window whose last bonus is at most the ceiling, or with the
-    cap.  Every check is still decided, so the fold only groups checks into
-    fewer calls.  Runs share the cached schedule, made of tuples.
+    ``CHECK_GROWTH``, and the last one is ``max_epochs``.  No check with a bonus
+    above :func:`stop_bonus_ceiling`, the dense ones included, can stop, so the
+    first window runs through the first check at or below it, or the cap.  Each
+    later window holds ``CHECKS_PER_WINDOW`` checks (the last may hold fewer),
+    which span less than one doubling of the epoch, so a run draws fewer than
+    twice the samples it reports.  Every check is decided, so windows only
+    group checks into fewer calls.  Runs share the cached schedule, of tuples.
     """
-    windows, t = {}, 0
+    checks, t = [], 0
     while t < max_epochs:
         s, t = t, min(t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH)),
                       max_epochs)
-        windows.setdefault((t - 1).bit_length(), []).append((t, t - s))
+        checks.append((t, t - s, confidence_bonus(t, n, delta)))
     ceiling = stop_bonus_ceiling(n)
-    schedule, checks = [], []
-    for window in windows.values():
-        checks += window
-        if checks[-1][0] == max_epochs or confidence_bonus(checks[-1][0], n, delta) <= ceiling:
-            epochs, steps = zip(*checks)
-            schedule.append((epochs, steps, tuple(confidence_bonus(t, n, delta) for t in epochs)))
-            checks = []
-    return tuple(schedule)
+    cut = next((i + 1 for i, (_, _, bonus) in enumerate(checks) if bonus <= ceiling), len(checks))
+    ends = [*range(cut, len(checks), CHECKS_PER_WINDOW), len(checks)]
+    return tuple(tuple(zip(*checks[lo:hi])) for lo, hi in zip([0, *ends], ends))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,8 @@ class RewardOracle:
         np.float64 k mu(S), both from the 0-d arrays of the cached mean and
         the count.  A count must be an integer in 0..MAX_COUNT and a mask an
         integer in 1..2^n - 1; a rejected count or mask draws and counts nothing.
+        The mask is checked when it first misses the cache, so a value equal to
+        a cached mask, such as 1.0 after 1, is answered as that mask.
         """
         if k is not self._count:  # a new count: checked and converted once per advance
             k = operator.index(k)

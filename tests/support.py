@@ -23,7 +23,13 @@ from core_picker.geometry import (
     fit_separating_hyperplane,
     separating_normals,
 )
-from core_picker.learner import CHECK_DENSE_UNTIL, CHECK_GROWTH
+from core_picker.learner import (
+    CHECK_DENSE_UNTIL,
+    CHECK_GROWTH,
+    CHECKS_PER_WINDOW,
+    confidence_bonus,
+    stop_bonus_ceiling,
+)
 
 Box = namedtuple("Box", "center radius")  # L-infinity ball around an estimated vertex
 
@@ -42,26 +48,29 @@ def gen_weighted_game(n: int, seed) -> GameSpec:
     return GameSpec(n=n, mu=(weight / weight[-1]) ** 2)
 
 
-def reference_check_windows(max_epochs: int) -> list[list[int]]:
+def reference_check_windows(n: int, delta: float, max_epochs: int) -> list[list[int]]:
     """A run's check epochs, window by window, built one check at a time.
 
     Each check follows the last by one epoch up to ``CHECK_DENSE_UNTIL``, then
     by a factor ``CHECK_GROWTH`` (at least one epoch), and none passes the cap.
-    A window takes checks while they stay at or below the power of two that
-    bounds its first check from above.
+    The first window takes checks through the first whose confidence bonus is
+    at or below ``stop_bonus_ceiling(n)``; each later one takes
+    ``CHECKS_PER_WINDOW`` checks, and the last stops at the cap.
     """
     def following(t):
         step = t + 1 if t < CHECK_DENSE_UNTIL else max(t + 1, int(t * CHECK_GROWTH))
         return min(step, max_epochs)
 
-    epoch, windows = 0, []
+    ceiling, epoch, windows = stop_bonus_ceiling(n), 0, [[]]
     while epoch < max_epochs:
-        window = [following(epoch)]
-        end = 1 << (window[0] - 1).bit_length()
-        while window[-1] < max_epochs and following(window[-1]) <= end:
-            window.append(following(window[-1]))
-        windows.append(window)
-        epoch = window[-1]
+        epoch = following(epoch)
+        windows[-1].append(epoch)
+        if len(windows) == 1:
+            full = confidence_bonus(epoch, n, delta) <= ceiling
+        else:
+            full = len(windows[-1]) == CHECKS_PER_WINDOW
+        if full and epoch < max_epochs:
+            windows.append([])
     return windows
 
 

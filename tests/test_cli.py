@@ -270,7 +270,10 @@ def test_a_failed_output_write_is_a_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("value", ["abc", ""])
 def test_bad_thread_count_is_named_before_any_worker_starts(capsys, monkeypatch, value):
-    monkeypatch.setattr(cli, "_parallel_map", lambda fn, jobs: pytest.fail("workers started"))
+    def no_pool(*args, **kwargs):
+        pytest.fail("workers started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("CORE_PICKER_THREADS", value)
     for argv in (["sweep", "--n-max", "2", "--trials", "1"], ["cw", "--n", "3", "--trials", "2"]):
         with pytest.raises(SystemExit) as exc:

@@ -587,53 +587,59 @@ def test_two_player_game_runs():
     assert core_membership(game, report.allocation).max_violation <= 0.0
 
 
-def test_check_windows_split_the_schedule_at_powers_of_two():
-    # at n = 3 the first window runs through the first doubling window that
-    # can stop, (256, 512]; the windows after it are doubling windows
+def test_check_windows_cut_at_the_first_check_that_can_stop_then_every_15_checks():
+    # at n = 3 the first window runs through 375, the first check whose bonus
+    # is at or below the ceiling; each later window holds 15 checks
     windows = [list(window) for window, _, _ in check_schedule(3, 0.1, 1000)]
     first = windows[0]
     assert first[:8] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert first[32:64] == list(range(33, 65))
     assert first[64:80] == [67, 70, 73, 76, 79, 82, 86, 90, 94, 98, 102, 107, 112, 117, 122, 128]
-    assert first[-1] == 498 and len(windows) == 2
-    assert windows[-1][-1] == 1000  # the cap is the last check
-    for j, window in enumerate(windows[1:], start=10):
-        assert all(2 ** (j - 1) < t <= 2 ** j for t in window)
+    assert first[-1] == 375 and len(first) == 103
+    assert windows[1] == [393, 412, 432, 453, 475, 498, 522, 548, 575, 603, 633, 664, 697, 731, 767]
+    assert windows[2] == [805, 845, 887, 931, 977, 1000]  # the cap is the last check
+    assert len(windows) == 3
 
 
-# (cap, checks, doubling windows): C of the bonus's union bound is the number of checks
+def test_a_window_of_checks_spans_less_than_one_doubling():
+    # the most checks that grow by at most CHECK_GROWTH and span less than 2x
+    assert learner.CHECK_GROWTH ** (learner.CHECKS_PER_WINDOW - 1) < 2
+    assert 2 <= learner.CHECK_GROWTH ** learner.CHECKS_PER_WINDOW
+    assert learner.CHECKS_PER_WINDOW == 15
+
+
+# (cap, checks, doublings (2^(j-1), 2^j] that hold a check): C of the bonus's
+# union bound is the number of checks
 SCHEDULE_SIZES = [(1, 1, 1), (2, 2, 2), (63, 63, 7), (64, 64, 7), (65, 65, 8), (100, 75, 8),
                   (10**6, 266, 21), (10**12, 549, 41), (2**63 - 1, 878, 64)]
 
 
-@pytest.mark.parametrize("cap, checks, windows", SCHEDULE_SIZES)
-def test_schedule_windows_equal_the_one_check_at_a_time_reference(cap, checks, windows):
-    schedule, reference = check_schedule(3, 0.1, cap), reference_check_windows(cap)
-    assert [t for window, _, _ in schedule for t in window] == [t for w in reference for t in w]
-    assert (sum(map(len, reference)), len(reference)) == (checks, windows)
-    # at n = 3 the ten doubling windows through (256, 512] fold into the first
-    # one, and the later ones are the reference's
-    assert len(schedule) == max(1, windows - 9)
-    assert [list(window) for window, _, _ in schedule[1:]] == reference[10:]
+@pytest.mark.parametrize("cap, checks, doublings", SCHEDULE_SIZES)
+def test_schedule_windows_equal_the_one_check_at_a_time_reference(cap, checks, doublings):
+    schedule, reference = check_schedule(3, 0.1, cap), reference_check_windows(3, 0.1, cap)
+    assert [list(window) for window, _, _ in schedule] == reference
+    epochs = [t for w in reference for t in w]
+    # the checks grow by less than 2x each, so no doubling up to the cap lacks one
+    assert (len(epochs), len({(t - 1).bit_length() for t in epochs})) == (checks, doublings)
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.01])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_schedule_bonuses_are_the_confidence_bonus_and_skip_above_the_ceiling(n, delta):
-    # no last bonus on this grid lies within rounding of the ceiling, so the
-    # folds are exactly those of the bare ceiling
     ceiling = stop_bonus_ceiling(n)
     for cap in (10**6, 10**12, 2**63 - 1):
         schedule = check_schedule(n, delta, cap)
         for window, _, bonuses in schedule:  # every window is decided
             assert bonuses == tuple(confidence_bonus(t, n, delta) for t in window)
-        # the first window folds the doubling windows whose last bonus is above
-        # the ceiling into the first one whose last bonus is not
-        ends = [window[-1] for window in reference_check_windows(cap)]
-        folded = ends.index(schedule[0][0][-1])
-        assert [confidence_bonus(t, n, delta) > ceiling for t in ends[:folded + 2]] == (
-            [True] * folded + [False, False])
-        assert len(schedule) == len(ends) - folded
+        # the first window holds every check above the ceiling and ends at the
+        # first one that is not; each later window but the last holds 15 checks
+        first_bonuses = schedule[0][2]
+        assert all(b > ceiling for b in first_bonuses[:-1]) and first_bonuses[-1] <= ceiling
+        assert len(first_bonuses) > learner.CHECK_DENSE_UNTIL  # no dense check can stop
+        assert [len(window) for window, _, _ in schedule[1:-1]] == [15] * (len(schedule) - 2)
+        assert 1 <= len(schedule[-1][0]) <= 15 and schedule[-1][0][-1] == cap
+        assert [list(window) for window, _, _ in schedule] == reference_check_windows(
+            n, delta, cap)
 
 
 def test_schedule_is_one_shared_immutable_object():
@@ -665,10 +671,9 @@ def test_the_first_window_holds_every_check_that_cannot_stop(monkeypatch):
     schedule = check_schedule(n, 0.1, config.max_epochs)
     (first, _, bonuses), later = schedule[0], schedule[1:]
     ceiling = stop_bonus_ceiling(n)
-    # it ends where the doubling window (256, 512] ends, and the doubling
-    # windows before that one, the last ending at 245, cannot stop
-    assert first[-1] == 498 and max(t for t in first if t <= 256) == 245
-    assert confidence_bonus(245, n, 0.1) > ceiling >= bonuses[-1]
+    # it ends at 375, the first check whose bonus is at or below the ceiling
+    assert first[-1] == 375 and len(first) == 103
+    assert all(b > ceiling for b in bonuses[:-1]) and bonuses[-1] <= ceiling
     assert all(b <= ceiling for _, _, later_bonuses in later for b in later_bonuses)
     seen, estimated = [], []
 
@@ -685,8 +690,8 @@ def test_the_first_window_holds_every_check_that_cannot_stop(monkeypatch):
     monkeypatch.setattr(learner, "vertex_estimates", counted_estimates)
     game = gen_strictly_convex(n, 3)
     report = common_points_picking(RewardOracle(game, seed=4), config)
-    assert report.stopped_naturally and report.epochs > 498
-    assert seen[0][0] == list(bonuses)  # the folded checks are decided in one call
+    assert report.stopped_naturally and report.epochs > first[-1]
+    assert seen[0][0] == list(bonuses)  # the first window's checks are decided in one call
     assert estimated[0] == list(first)
     # no run passes at a check above the ceiling, not even the noise-free
     # estimates (1, -1) and (-1, 1), which pass at any bonus up to it
@@ -737,11 +742,11 @@ def test_a_run_stops_at_the_first_check_below_the_bonus_ceiling():
 
 
 def test_a_run_holds_no_list_of_a_window_of_sums():
-    # the first window at n = 20 holds 180 checks of 400 prefix sums each; held
+    # the first window at n = 20 holds 177 checks of 400 prefix sums each; held
     # in one list of Python ints, they lift the run's peak to about 3 MiB, and
     # a second stack of squared offsets in the distance bound to about 2.3 MiB
     game, config = gen_strictly_convex(20, 0), LearnerConfig(delta=0.1, perm_choice="cyclic")
-    assert len(check_schedule(20, 0.1, config.max_epochs)[0][0]) == 180
+    assert len(check_schedule(20, 0.1, config.max_epochs)[0][0]) == 177
     tracemalloc.start()
     try:
         report = common_points_picking(RewardOracle(game, 0), config)
@@ -762,7 +767,7 @@ def one_check_per_epoch(oracle, config):
     chains = [prefix_coalitions(w) for w in perms]
     totals = np.zeros((n, n))
     epoch, result = 0, None
-    for window in reference_check_windows(config.max_epochs):
+    for window in reference_check_windows(n, config.delta, config.max_epochs):
         for target in window:
             draw_row_major(totals, oracle, chains, target - epoch)
             epoch = target
@@ -798,14 +803,14 @@ def test_windowed_run_matches_one_check_per_epoch(n, choice):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_a_noisy_run_stopping_inside_the_first_window_matches_one_check_per_epoch(seed):
-    # these runs stop at epoch 234, 223 and 223: inside the first window, which
-    # ends at 245, and after its first check at or below the ceiling (213)
+def test_a_noisy_run_stopping_inside_the_second_window_matches_one_check_per_epoch(seed):
+    # these runs stop at epoch 234, 223 and 223: inside the second window,
+    # which runs from 223 to 432, so the oracle draws on past the stop
     game, config = GameSpec(n=2, mu=[0.0, 1.0, 0.95, 0.0]), LearnerConfig(delta=0.1)
-    first = check_schedule(2, 0.1, config.max_epochs)[0][0]
-    passable = next(t for t in first if confidence_bonus(t, 2, 0.1) <= stop_bonus_ceiling(2))
+    first, second = (window for window, _, _ in check_schedule(2, 0.1, config.max_epochs)[:2])
     report = common_points_picking(RewardOracle(game, seed), config)
-    assert (first[-1], passable) == (245, 213) and passable < report.epochs < first[-1]
+    assert (first[-1], second[0], second[-1]) == (213, 223, 432)
+    assert second[0] <= report.epochs < second[-1]
     assert_matches_reference(game, seed, config)
 
 
@@ -833,35 +838,59 @@ def test_weighted_runs_match_one_check_per_epoch(noise):
             assert_matches_reference(gen_weighted_game(n, n), 60 + n, config, noise)
 
 
-RUN_GRID_SHA256 = "eed77a6cffd36c86b04e402c2c2a661af78c2d0d8aa0ce0f76390dfdca35f5ee"
+RUN_GRID_SHA256 = "584816b0525311bb9d72df08ff74057acd76695929af846b2c98f0b303d59100"
 
 
-def test_a_grid_of_runs_keeps_its_digest():
-    """One sha256 over the reports of 96 fixed runs pins every output byte.
+@pytest.fixture(scope="module")
+def run_grid():
+    """96 fixed runs as ``(report, oracle)`` pairs, each oracle after its run.
 
     The grid: n 2..6 and 10; a strictly convex game at the default cap and
     the unit game capped at 1, 65 and 5000 epochs; adjacent and cyclic
-    permutations; both noise models.  Each run adds its epochs, bonus, stop
-    flag, ``total_queries``, samples, the final bit-generator state and the
-    estimate bytes.  A speedup leaves the digest as it is.  ROADMAP items 5
-    and 9 change the outputs on purpose, and each edits this digest when it
-    declares its regeneration.
+    permutations; both noise models.
     """
-    digest = hashlib.sha256()
-    seed = itertools.count()
+    runs, seed = [], itertools.count()
     for n in (2, 3, 4, 5, 6, 10):
-        runs = [(gen_strictly_convex(n, n), DEFAULT_MAX_EPOCHS)]
-        runs += [(gen_unit_game(n), cap) for cap in (1, 65, 5000)]
+        games = [(gen_strictly_convex(n, n), DEFAULT_MAX_EPOCHS)]
+        games += [(gen_unit_game(n), cap) for cap in (1, 65, 5000)]
         for (game, cap), choice, noise in itertools.product(
-                runs, ("adjacent", "cyclic"), ("bernoulli", "none")):
+                games, ("adjacent", "cyclic"), ("bernoulli", "none")):
             oracle = RewardOracle(game, next(seed), noise)
             report = common_points_picking(
                 oracle, LearnerConfig(delta=0.1, perm_choice=choice, max_epochs=cap))
-            fields = (report.epochs, report.bonus, report.stopped_naturally,
-                      oracle.total_queries, report.samples, oracle.rng.bit_generator.state)
-            digest.update(repr(fields).encode())
-            digest.update(report.estimates.tobytes())
+            runs.append((report, oracle))
+    return runs
+
+
+def test_a_grid_of_runs_keeps_its_digest(run_grid):
+    """One sha256 over the reports of the 96 runs of ``run_grid`` pins every
+    output byte.
+
+    Each run adds its epochs, bonus, stop flag, ``total_queries``, samples,
+    the final bit-generator state and the estimate bytes.  A speedup leaves
+    the digest as it is.  ROADMAP items 5 and 9 change the outputs on
+    purpose, and each edits this digest when it declares its regeneration.
+    """
+    digest = hashlib.sha256()
+    for report, oracle in run_grid:
+        fields = (report.epochs, report.bonus, report.stopped_naturally,
+                  oracle.total_queries, report.samples, oracle.rng.bit_generator.state)
+        digest.update(repr(fields).encode())
+        digest.update(report.estimates.tobytes())
     assert digest.hexdigest() == RUN_GRID_SHA256
+
+
+def test_a_run_draws_fewer_than_twice_its_samples(run_grid):
+    # a stop lands in a window of checks spanning less than one doubling, and
+    # the oracle draws on only to that window's end
+    stopped = [(report, oracle) for report, oracle in run_grid if report.stopped_naturally]
+    assert len(stopped) == 24
+    assert all(oracle.total_queries < 2 * report.samples for report, oracle in stopped)
+    # a stop at the first check that can pass ends the first window: no draw past it
+    oracle = noise_free(GameSpec(n=2, mu=[0.0, 1.0, 1.0, 0.0]), 0)
+    report = common_points_picking(oracle, LearnerConfig(delta=0.1))
+    assert report.epochs == check_schedule(2, 0.1, DEFAULT_MAX_EPOCHS)[0][0][-1] == 213
+    assert oracle.total_queries == report.samples == 852
 
 
 @pytest.mark.parametrize("n", range(3, 7))
