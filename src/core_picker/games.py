@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PLAYERS = 20  # 2**20 table entries keeps exhaustive scans at desk scale
+_GATHER_BITS = 14  # 2^14 masks per generation block: a 128 KiB popcount index
 STRICT_COEFF = 0.9  # increment noise of the strict games; below 1 keeps them strictly convex
 
 Coalition = int
@@ -43,8 +44,7 @@ def subset_sums(values, dtype=np.float64) -> np.ndarray:
 def coalition_sizes(n: int) -> np.ndarray:
     """Popcount of every mask 0..2**n-1 as ``uint8`` (1 MiB at n = 20).
 
-    Checks n first so that generators reject a player count before
-    allocating its table.
+    Checks n first, so a player count out of range allocates nothing.
     """
     _check_player_count(n)
     return subset_sums([1] * n, np.uint8)
@@ -184,19 +184,30 @@ def marginal_increments(n: int, seed, coeff: float = STRICT_COEFF) -> np.ndarray
     return raw / raw.sum()
 
 
-def _symmetric_game(sizes: np.ndarray, values: np.ndarray) -> GameSpec:
-    """The game whose coalitions of size k, counted by ``sizes`` (see
-    :func:`coalition_sizes`), all have reward ``values[k]``.  One gather:
-    fancy indexing casts the ``uint8`` sizes to intp in buffered chunks, so
-    unlike ``np.take`` it makes no full-size index copy."""
-    return GameSpec(n=len(values) - 1, mu=_frozen(values[sizes]))
+def _symmetric_game(values: np.ndarray) -> GameSpec:
+    """The game of n = len(values) - 1 players whose coalitions of size k all
+    have reward ``values[k]``; its caller checks n first.
+
+    The table is gathered in blocks of 2^14 masks that share their high bits:
+    a block whose high bits count h takes ``values[h + size]`` for the popcount
+    ``size`` of each low mask, so besides the table the gather holds one
+    2^14-entry intp index.  ``np.take`` writes straight into the table; its
+    "clip" mode (every index here is in range) spares the output buffer that
+    its default "raise" mode allocates.
+    """
+    n = len(values) - 1
+    sizes = coalition_sizes(min(n, _GATHER_BITS)).astype(np.intp)
+    mu = np.empty(1 << n)
+    for b, block in enumerate(mu.reshape(-1, sizes.size)):
+        np.take(values[b.bit_count():], sizes, out=block, mode="clip")
+    return GameSpec(n=n, mu=_frozen(mu))
 
 
 def _increment_game(n: int, seed, coeff: float) -> GameSpec:
-    sizes = coalition_sizes(n)  # checks n before marginal_increments sizes an array by it
+    _check_player_count(n)  # before marginal_increments sizes an array by n
     values = np.concatenate([[0.0], np.cumsum(marginal_increments(n, seed, coeff))])
     values[-1] = 1.0  # guard cumsum rounding at the grand coalition
-    return _symmetric_game(sizes, values)
+    return _symmetric_game(values)
 
 
 def gen_strictly_convex(n: int, seed) -> GameSpec:
@@ -211,7 +222,8 @@ def gen_convex_boundary(n: int, seed) -> GameSpec:
 
 def gen_unit_game(n: int) -> GameSpec:
     """mu(S) = |S| / n: convex but not strictly, one-point core at (1/n) 1."""
-    return _symmetric_game(coalition_sizes(n), np.arange(n + 1) / n)
+    _check_player_count(n)
+    return _symmetric_game(np.arange(n + 1) / n)
 
 
 def gen_permutahedron(n: int) -> GameSpec:
@@ -220,7 +232,7 @@ def gen_permutahedron(n: int) -> GameSpec:
     Every marginal vector is (rank+1 profile) / g(n), so the core is the
     standard permutahedron scaled by 1 / g(n).
     """
-    sizes = coalition_sizes(n)
-    k = np.arange(n + 1)  # int64: k (k + 1) overflows the uint8 sizes from n = 16
+    _check_player_count(n)
+    k = np.arange(n + 1)
     g = k * (k + 1) / 2.0
-    return _symmetric_game(sizes, g / g[-1])
+    return _symmetric_game(g / g[-1])

@@ -13,9 +13,11 @@ untouched, and a reported epoch is at most ``CHECK_GROWTH`` times the exact
 one.  :func:`check_schedule` fixes each window's checks, advance sizes and
 bonuses: the first window runs to the first check that can stop, and each
 later one holds ``CHECKS_PER_WINDOW`` checks.  A window is decided together,
-the totals at its checks drawn into one buffer, and a run only draws forward:
-its report is that of checking each epoch, while the oracle's count also holds
-the window's draws past the first pass, which no report reads.
+the totals at its checks drawn into one buffer, except that of the first
+window only the last check, the one that can stop, is estimated and decided.
+A run only draws forward: its report is that of checking each epoch, while
+the oracle's count also holds the window's draws past the first pass, which
+no report reads.
 
 A run's state is the flat row-major list ``prefixes`` of the n^2 prefix masks,
 the permutations' n x n ``ranks`` and one n x n array ``totals`` of prefix sums.
@@ -232,11 +234,12 @@ def check_schedule(n: int, delta: float, max_epochs: int) -> tuple:
     Checks fall on every epoch up to ``CHECK_DENSE_UNTIL``, then grow by
     ``CHECK_GROWTH``, and the last one is ``max_epochs``.  No check with a bonus
     above :func:`stop_bonus_ceiling`, the dense ones included, can stop, so the
-    first window runs through the first check at or below it, or the cap.  Each
-    later window holds ``CHECKS_PER_WINDOW`` checks (the last may hold fewer),
-    which span less than one doubling of the epoch, so a run draws fewer than
-    twice the samples it reports.  Every check is decided, so windows only
-    group checks into fewer calls.  Runs share the cached schedule, of tuples.
+    first window runs through the first check at or below it, or the cap, and
+    a run decides that last check alone.  Each later window holds
+    ``CHECKS_PER_WINDOW`` checks (the last may hold fewer), which span less
+    than one doubling of the epoch, so a run draws fewer than twice the samples
+    it reports.  Every later check is decided, so windows only group checks
+    into fewer calls.  Runs share the cached schedule, of tuples.
     """
     checks, t = [], 0
     while t < max_epochs:
@@ -277,12 +280,14 @@ def common_points_picking(oracle: RewardOracle, config: LearnerConfig) -> RunRep
     prefixes = [S for w in perms for S in prefix_coalitions(w)]
     ranks = np.array([w.ranks for w in perms])
     totals = np.zeros((n, n))
+    decided = slice(-1, None)  # the first window's other checks are above the ceiling
     for window, steps, bonuses in check_schedule(n, config.delta, config.max_epochs):
-        stack = _draw_window(oracle, prefixes, totals, steps)  # row i: the totals at check i
+        stack = _draw_window(oracle, prefixes, totals, steps)[decided]  # row i: at check i
+        window, bonuses = window[decided], bonuses[decided]
         estimates = vertex_estimates(stack, window, ranks, oracle.mu_grand)
         passed = stopping_condition(estimates, bonuses)
         if passed.any():
             first = int(passed.argmax())
             return RunReport(estimates[first], window[first], bonuses[first], True)
-        totals = stack[-1]
+        totals, decided = stack[-1].copy(), slice(None)  # a view would keep the buffer
     return RunReport(estimates[-1], window[-1], bonuses[-1], False)

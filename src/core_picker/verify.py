@@ -12,7 +12,7 @@ import numpy as np
 
 from .games import GameSpec, subset_sums
 
-_SCAN_BITS = 16  # 2^16 coalitions per membership block: 512 KiB of doubles
+_SCAN_BITS = 15  # 2^15 coalitions per membership block: 256 KiB of doubles
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,9 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     |x(N) - mu(N)|.  Membership requires both within tol.  An allocation must
     hold exactly n entries.
 
-    The scan holds no 2^n array besides the game's own table.  Over blocks of
-    2^16 masks sharing their high bits, it starts from the low players' sums,
+    The scan holds no 2^n array besides the game's own table, only two blocks
+    of 2^15 doubles (256 KiB each): the low players' sums and the slack.  Over
+    blocks of masks sharing their high bits, it starts from the low players' sums,
     adds each high player present in ascending order as :func:`subset_sums`
     does, and keeps one running maximum as it goes (a NaN wins and stays), so
     the report is bit-identical to one max over a full table.

@@ -69,7 +69,7 @@ def test_gamespec_copies_writeable_input_and_adopts_frozen_tables():
         assert GameSpec(n=4, mu=generated.mu).mu is generated.mu  # handed over frozen
 
 
-@pytest.mark.parametrize("n", [2, 15, 16, 20])
+@pytest.mark.parametrize("n", [2, 14, 15, 16, 20])  # 14 and 15: one block, then two
 def test_generators_match_int64_popcount_formulas(n):
     # sizes * (sizes + 1) overflows uint8 from n = 16, so the reference casts first
     sizes = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
