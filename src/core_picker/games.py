@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PLAYERS = 20  # 2**20 table entries keeps exhaustive scans at desk scale
-_GATHER_BITS = 14  # 2^14 masks per generation block: a 128 KiB popcount index
+MASK_BLOCK_BITS = 15  # 2^15 masks per block of each pass over a 2^n table: 256 KiB
 STRICT_COEFF = 0.9  # increment noise of the strict games; below 1 keeps them strictly convex
 
 Coalition = int
@@ -39,15 +39,6 @@ def subset_sums(values, dtype=np.float64) -> np.ndarray:
         h = 1 << p
         np.add(sums[:h], value, out=sums[h:2 * h])
     return sums
-
-
-def coalition_sizes(n: int) -> np.ndarray:
-    """Popcount of every mask 0..2**n-1 as ``uint8`` (1 MiB at n = 20).
-
-    Checks n first, so a player count out of range allocates nothing.
-    """
-    _check_player_count(n)
-    return subset_sums([1] * n, np.uint8)
 
 
 @dataclass(frozen=True)
@@ -188,15 +179,15 @@ def _symmetric_game(values: np.ndarray) -> GameSpec:
     """The game of n = len(values) - 1 players whose coalitions of size k all
     have reward ``values[k]``; its caller checks n first.
 
-    The table is gathered in blocks of 2^14 masks that share their high bits:
-    a block whose high bits count h takes ``values[h + size]`` for the popcount
-    ``size`` of each low mask, so besides the table the gather holds one
-    2^14-entry intp index.  ``np.take`` writes straight into the table; its
-    "clip" mode (every index here is in range) spares the output buffer that
-    its default "raise" mode allocates.
+    The table is gathered in blocks of 2^MASK_BLOCK_BITS masks that share their
+    high bits: a block whose high bits count h takes ``values[h + size]`` for
+    the popcount ``size`` of each low mask, so besides the table the gather
+    holds one block-sized intp index.  ``np.take`` writes straight into the
+    table; its "clip" mode (every index here is in range) spares the output
+    buffer that its default "raise" mode allocates.
     """
     n = len(values) - 1
-    sizes = coalition_sizes(min(n, _GATHER_BITS)).astype(np.intp)
+    sizes = subset_sums([1] * min(n, MASK_BLOCK_BITS), np.intp)
     mu = np.empty(1 << n)
     for b, block in enumerate(mu.reshape(-1, sizes.size)):
         np.take(values[b.bit_count():], sizes, out=block, mode="clip")

@@ -116,13 +116,14 @@ def run_epochs(oracle: RewardOracle, prefixes, k: int) -> list:
 
 def _draw_window(oracle: RewardOracle, prefixes, totals: np.ndarray, steps) -> np.ndarray:
     """The totals after each advance of k epochs, k in ``steps``, from the n x n
-    ``totals``.  The start and each advance's :func:`run_epochs` sums stream into
-    one (len(steps) + 1, n, n) float64 buffer, so no list outlives one advance;
-    it is summed in place down its first axis, and rows 1.. are returned."""
-    advances = (run_epochs(oracle, prefixes, k) for k in steps)
-    sums = itertools.chain.from_iterable(itertools.chain([totals.ravel().tolist()], advances))
-    buf = np.fromiter(sums, np.float64, (len(steps) + 1) * totals.size).reshape(-1, *totals.shape)
-    return np.cumsum(buf, axis=0, out=buf)[1:]
+    ``totals``.  Each advance's :func:`run_epochs` sums stream into one
+    (len(steps), n, n) float64 buffer, so no list outlives one advance; the
+    start is added into the first row, and the buffer is summed in place down
+    its first axis."""
+    sums = itertools.chain.from_iterable(run_epochs(oracle, prefixes, k) for k in steps)
+    buf = np.fromiter(sums, np.float64, len(steps) * totals.size).reshape(-1, *totals.shape)
+    buf[0] += totals
+    return np.cumsum(buf, axis=0, out=buf)
 
 
 def vertex_estimates(totals: np.ndarray, epochs, ranks: np.ndarray,

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec, subset_sums
-
-_SCAN_BITS = 15  # 2^15 coalitions per membership block: 256 KiB of doubles
+from .games import MASK_BLOCK_BITS, GameSpec, subset_sums
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,7 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     hold exactly n entries.
 
     The scan holds no 2^n array besides the game's own table, only two blocks
-    of 2^15 doubles (256 KiB each): the low players' sums and the slack.  Over
+    of 2^MASK_BLOCK_BITS doubles: the low players' sums and the slack.  Over
     blocks of masks sharing their high bits, it starts from the low players' sums,
     adds each high player present in ascending order as :func:`subset_sums`
     does, and keeps one running maximum as it goes (a NaN wins and stays), so
@@ -41,22 +39,21 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     n, mu = game.n, game.mu
     if x.shape != (n,):
         raise ValueError(f"allocation must have shape ({n},), not {x.shape}")
-    low = min(n, _SCAN_BITS)
+    low = min(n, MASK_BLOCK_BITS)
     low_sums = subset_sums(x[:low])
-    size = low_sums.size
-    blocks = 1 << (n - low)
-    slack = np.empty(size)
+    blocks = mu.reshape(-1, low_sums.size)
+    slack = np.empty_like(low_sums)
     max_violation = -np.inf
-    for b in range(blocks):
+    for b, block in enumerate(blocks):
         np.copyto(slack, low_sums)
         for p in range(low, n):
             if b >> (p - low) & 1:
                 slack += x[p]
         grand_sum = float(slack[-1])  # x(N) once the last block is reached
-        np.subtract(mu[b * size:(b + 1) * size], slack, out=slack)
+        np.subtract(block, slack, out=slack)
         if b == 0:
             slack[0] = -np.inf
-        if b == blocks - 1:
+        if b == len(blocks) - 1:
             slack[-1] = -np.inf  # the grand coalition is judged by the efficiency gap
         # np.max's own ufunc, without its wrapper; not Python's max, which drops a later NaN
         max_violation = np.maximum(max_violation, np.maximum.reduce(slack))

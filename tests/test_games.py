@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from support import gen_weighted_game, strict_convexity_margin
 
+from core_picker import games
 from core_picker.games import (
+    MASK_BLOCK_BITS,
     GameSpec,
     Permutation,
     adjacent_permutations,
-    coalition_sizes,
     cyclic_permutations,
     gen_convex_boundary,
     gen_permutahedron,
@@ -69,8 +70,12 @@ def test_gamespec_copies_writeable_input_and_adopts_frozen_tables():
         assert GameSpec(n=4, mu=generated.mu).mu is generated.mu  # handed over frozen
 
 
-@pytest.mark.parametrize("n", [2, 14, 15, 16, 20])  # 14 and 15: one block, then two
-def test_generators_match_int64_popcount_formulas(n):
+@pytest.mark.parametrize("n, bits", [
+    *(pytest.param(n, MASK_BLOCK_BITS, id=str(n)) for n in (2, 14, 15, 16, 20)),  # 16: two blocks
+    *(pytest.param(n, 3, id=f"{n}-3bit") for n in range(4, 10)),  # 2 to 64 blocks of 8 masks
+])
+def test_generators_match_int64_popcount_formulas(monkeypatch, n, bits):
+    monkeypatch.setattr(games, "MASK_BLOCK_BITS", bits)
     # sizes * (sizes + 1) overflows uint8 from n = 16, so the reference casts first
     sizes = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     g = sizes * (sizes + 1) / 2.0
@@ -115,12 +120,6 @@ def test_subset_sums_add_each_mask_in_ascending_order(n):
                 total += x[p]
         expected.append(total)
     assert subset_sums(x).tolist() == expected  # exact: the same additions in the same order
-
-
-def test_coalition_sizes_stay_one_byte_per_mask():
-    sizes = coalition_sizes(20)
-    assert sizes.dtype == np.uint8 and sizes.nbytes == 1 << 20
-    assert sizes[-1] == 20
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from core_picker.games import (
     marginal_vector,
     subset_sums,
 )
-from core_picker import verify
+from core_picker import games, verify
 from core_picker.geometry import in_simplex
 from core_picker.verify import core_membership
 
@@ -45,7 +45,8 @@ def full_table_report(game, x):
 @pytest.mark.parametrize("n", range(2, 21))
 def test_blocked_scan_equals_full_table_scan(monkeypatch, n):
     # n >= 5 spans several blocks: 2 at n = 5, up to 32 from n = 9 on
-    monkeypatch.setattr(verify, "_SCAN_BITS", max(4, n - 5))
+    for module in (games, verify):  # verify reads its own binding of the constant
+        monkeypatch.setattr(module, "MASK_BLOCK_BITS", max(4, n - 5))
     rng = np.random.default_rng(n)
     game = gen_strictly_convex(n, n)
     centre = np.full(n, 1.0 / n)
@@ -77,8 +78,8 @@ def test_generation_and_scan_hold_one_table_at_n20():
         scan_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert generated_peak < 1.05 * table  # the table plus a 2^14-entry index
-    assert scan_peak < 0.08 * table  # two 2^15-entry blocks, no 2^n array besides the game's own
+    assert generated_peak < 1.05 * table  # the table plus a 2^MASK_BLOCK_BITS-entry index
+    assert scan_peak < 0.08 * table  # two blocks of that size, no 2^n array besides the game's own
 
 
 def test_unit_game_center_is_member():
