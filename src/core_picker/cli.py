@@ -21,7 +21,6 @@ import numpy as np
 
 from .games import (
     MAX_PLAYERS,
-    STRICT_COEFF,
     gen_convex_boundary,
     gen_permutahedron,
     gen_strictly_convex,
@@ -35,7 +34,6 @@ from .verify import core_membership
 
 MAX_CW_PLAYERS = 100  # simplex_width's one stack, n^2 (n - 1) doubles, stays under 8 MiB
 MAX_TRIALS = 10_000   # per player count; the job list is built before any worker starts
-MAX_SWEEP_PLAYERS = 10  # the largest player count a sweep accepts, as its --n-max
 
 GENERATORS = {
     "strict": gen_strictly_convex,
@@ -80,7 +78,7 @@ def _sweep_worker(args):
 def _cw_worker(args):
     n, trial, seed = args
     game_stream, _ = trial_streams(seed, n, trial)
-    increments = marginal_increments(n, game_stream, coeff=STRICT_COEFF)
+    increments = marginal_increments(n, game_stream)
     margin = float(np.min(np.diff(increments)))
     vertices = increments[(np.arange(n)[:, None] + np.arange(n)) % n]  # row k: rotation by k
     width = simplex_width(vertices)
@@ -179,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sample counts across player counts")
     sweep.add_argument("--n-min", type=int, default=2)
-    sweep.add_argument("--n-max", type=int, default=6, help=f"at most {MAX_SWEEP_PLAYERS}")
+    sweep.add_argument("--n-max", type=int, default=6, help=f"at most {MAX_PLAYERS}")
     sweep.add_argument("--trials", type=int, default=20,
                        help=f"trials per player count, in 1..{MAX_TRIALS}")
     sweep.add_argument("--gen", choices=["strict", "convex"], default="strict")
@@ -213,8 +211,8 @@ def _validate(parser, args) -> None:
             parser.error(f"--trials must be in 1..{MAX_TRIALS}")
     if args.command == "learn" and not 2 <= args.n <= MAX_PLAYERS:
         parser.error(f"--n must be in 2..{MAX_PLAYERS}")  # before trial_streams sees it
-    if args.command == "sweep" and not 2 <= args.n_min <= args.n_max <= MAX_SWEEP_PLAYERS:
-        parser.error(f"need 2 <= n-min <= n-max <= {MAX_SWEEP_PLAYERS}")
+    if args.command == "sweep" and not 2 <= args.n_min <= args.n_max <= MAX_PLAYERS:
+        parser.error(f"need 2 <= n-min <= n-max <= {MAX_PLAYERS}")
     if args.command == "cw" and any(not 2 <= n <= MAX_CW_PLAYERS for n in args.n):
         parser.error(f"--n entries must be in 2..{MAX_CW_PLAYERS}")
     if args.command == "cw" and len(set(args.n)) < len(args.n):

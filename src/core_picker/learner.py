@@ -57,12 +57,17 @@ def confidence_bonus(ep: int, n: int, delta: float) -> float:
 
     Hoeffding at b/2 gives each prefix mean a failure chance of 2 delta/(n ep)
     per check, so the union over the n^2 prefix means gives 2 n delta/ep; on
-    that event each telescoped coordinate lies within b.  The projection onto
-    mu(N) can add up to b/(2n), and summed over the C checks of
-    :func:`check_schedule` (C = 549 at the default cap, 878 at 2**63 - 1) the
-    failure chance exceeds delta; a union over the checks as well would close
-    that gap.  For delta below about 1e-290 the quotient can overflow, and an
-    infinite bonus never stops a run, so the log is then taken as a difference."""
+    that event each telescoped coordinate lies within b, and the projection
+    onto mu(N) can add up to b/(2n).  A stop outside the core needs a check c,
+    at epoch t_c with bonus b_c, that passes while its event fails, and no
+    check with b_c above :func:`stop_bonus_ceiling` can pass.  So the union
+    over the checks of :func:`check_schedule` bounds the chance of a stop
+    outside the core by delta * sum(2 n / t_c) over the checks with b_c at or
+    below the ceiling.  A test holds that sum at most 1 over a grid of n, delta
+    and caps, so there a run keeps the guarantee of Common-Points-Picking
+    (arXiv 2402.07067) at level delta.  For delta below about 1e-290 the
+    quotient can overflow, and an infinite bonus never stops a run, so the log
+    is then taken as a difference."""
     ratio = n * ep / delta
     log_ratio = math.log(ratio) if ratio < math.inf else math.log(n * ep) - math.log(delta)
     return math.sqrt(2.0 * log_ratio / ep)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import errno
+import hashlib
 import os
 import shlex
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 
 from core_picker import cli, verify
 from core_picker.cli import main, run_single, trial_streams
+from core_picker.games import MAX_PLAYERS, gen_strictly_convex
+from core_picker.geometry import simplex_width
 
 OUT = Path(__file__).resolve().parent.parent / "out"
 SUMMARIZE = OUT.parent / "scripts" / "summarize_sweep.py"
@@ -194,6 +197,31 @@ def test_cw_output_columns_and_positive_width(tmp_path):
         assert float(row[3]) > 0.0
 
 
+@pytest.mark.parametrize("n", range(2, MAX_PLAYERS + 1))
+def test_cw_rows_are_those_of_the_strict_games(n):
+    # cw draws the increments that the strict generator builds its game from:
+    # the differences of the size values mu(first k players), k = 0..n
+    for trial in range(3):
+        game = gen_strictly_convex(n, trial_streams(5, n, trial)[0])
+        increments = np.diff(game.mu[[(1 << k) - 1 for k in range(n + 1)]])
+        vertices = increments[(np.arange(n)[:, None] + np.arange(n)) % n]
+        width = simplex_width(vertices)
+        c_w = n * float(np.min(np.diff(increments))) / width
+        row = cli._cw_worker((n, trial, 5))
+        assert row[:2] == (n, trial)
+        np.testing.assert_allclose(row[2:], (width, c_w), rtol=1e-12)
+
+
+def test_sweep_takes_every_player_count_that_learn_takes(tmp_path):
+    # a cap of 70 epochs keeps the n = 11 row short; no check that early can stop
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n-min", "11", "--n-max", "11", "--trials", "1",
+                 "--max-epochs", "70", "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert header == ["n", "trial", "samples", "stopped", "violation_max"]
+    assert [row[:4] for row in rows] == [["11", "0", str(70 * 11 * 11), "false"]]
+
+
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     def no_workers(fn, jobs):
         raise AssertionError("a usage error started the worker pool")
@@ -203,7 +231,7 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
     kept.write_text("earlier output\n")
     for argv in (
-        ["sweep", "--n-min", "2", "--n-max", "12"],
+        ["sweep", "--n-min", "2", "--n-max", "21"],
         ["learn", "--n", "1"],
         ["learn", "--n", "3", "--noise", "gaussian"],
         ["learn", "--n", "3", "--delta", "1.5"],
@@ -245,6 +273,8 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
             assert "error: --seed must be nonnegative" in err
         if argv[0] == "learn" and argv[2] in ("1", "21", "-1"):
             assert "error: --n must be in 2..20" in err
+        if argv[0] == "sweep" and "21" in argv:
+            assert "error: need 2 <= n-min <= n-max <= 20" in err
         if argv[:4] == ["cw", "--n", "10", "10"]:
             assert "error: --n entries must be distinct" in err
         if "--out" in argv and argv[-1] not in (str(fresh), str(kept)):
@@ -336,6 +366,18 @@ def test_sweep_reproduces_committed_output(tmp_path, name, argv):
         summary = subprocess.run([sys.executable, str(SUMMARIZE), str(out)],
                                  capture_output=True, check=True)
         assert summary.stdout == (OUT / name.replace("_sweep", "_medians")).read_bytes()
+
+
+@pytest.mark.parametrize("workload, name", [("sweep", "strict_sweep.csv"), ("cw", "cw.csv")])
+def test_benchmark_references_are_the_committed_outputs(monkeypatch, workload, name):
+    # the benchmark's first call of a CLI workload must reproduce a file of
+    # out/, so a regeneration of out/ that leaves a digest behind fails here
+    monkeypatch.syspath_prepend(str(OUT.parent / "perfbench"))
+    import run as bench
+
+    seed, digest = bench.WORKLOADS[workload].reference
+    assert hashlib.sha256((OUT / name).read_bytes()).hexdigest() == digest
+    assert [*bench.WORKLOADS[workload].args, "--seed", str(seed)] == dict(reproduce_cases())[name]
 
 
 @pytest.mark.parametrize("argv", shell_commands(REPRODUCE, "python3 scripts/summarize_sweep.py "),
