@@ -1,9 +1,11 @@
-"""Cooperative games as explicit reward tables over coalitions.
+"""Cooperative games as expected rewards over coalitions.
 
 Coalitions are bit-masks over player indices 0..n-1 (bit p set means player p
-is in the coalition).  A game stores the full table of expected rewards, one
-entry per mask, with values normalized into [0, 1].  Permutations index the
-marginal vectors that form the vertices of the core of a convex game.
+is in the coalition).  A game answers the expected reward of any mask, with
+values normalized into [0, 1]: a :class:`SymmetricGame` (every generator here)
+from its n + 1 size rewards, a :class:`GameSpec` from an explicit 2^n table.
+Permutations index the marginal vectors that form the vertices of the core of
+a convex game.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_PLAYERS = 20  # 2**20 table entries keeps exhaustive scans at desk scale
-MASK_BLOCK_BITS = 15  # 2^15 masks per block of each pass over a 2^n table: 256 KiB
+MAX_PLAYERS = 20  # the core scan takes time 2^n: 2^20 coalitions keeps it at desk scale
+MASK_BLOCK_BITS = 15  # 2^15 masks per block of the core scan over all 2^n masks: 256 KiB
 STRICT_COEFF = 0.9  # increment noise of the strict games; below 1 keeps them strictly convex
 
 Coalition = int
@@ -108,23 +110,31 @@ def cyclic_permutations(n: int) -> list[Permutation]:
     return [Permutation(tuple((p + k) % n for p in range(n))) for k in range(n)]
 
 
-def _frozen(mu: np.ndarray) -> np.ndarray:
-    mu.flags.writeable = False
-    return mu
+def _rewards(values, entries: int) -> np.ndarray:
+    """A read-only float64 copy of ``values``, checked as a game's expected
+    rewards: ``entries`` of them, the empty coalition's first and exactly 0,
+    all in [0, 1]."""
+    values = np.array(values, dtype=np.float64)
+    values.flags.writeable = False
+    if values.shape != (entries,):
+        raise ValueError(f"reward table must have {entries} entries")
+    if values[0] != 0.0:
+        raise ValueError("empty coalition must have reward 0")
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # nan fails both
+        raise ValueError("rewards must lie in [0, 1]")
+    return values
 
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A stochastic cooperative game given by its expected-reward table.
+    """A stochastic cooperative game given by its explicit expected-reward table.
 
     ``mu[mask]`` is the expected reward of the coalition with that bit-mask.
     The empty coalition has reward exactly 0 and all values lie in [0, 1].
     The reward distribution around these means belongs to the bandit oracle.
-
-    The table is the one 2^n array a trial holds (8 MiB at n = 20).  A
-    read-only float64 array that owns its data is adopted as it is, which is
-    how the generators hand over their fresh table; anything else (a
-    writeable array, a view, a list) is copied and frozen.
+    The table is a frozen float64 copy of the input, 2^n entries (8 MiB at
+    n = 20), for games whose rewards depend on more than a coalition's size;
+    the generators' games are :class:`SymmetricGame`, which hold no table.
     """
 
     n: int
@@ -132,24 +142,63 @@ class GameSpec:
 
     def __post_init__(self):
         _check_player_count(self.n)
-        mu = self.mu
-        if not (isinstance(mu, np.ndarray) and mu.dtype == np.float64
-                and mu.flags.owndata and not mu.flags.writeable):
-            mu = _frozen(np.array(mu, dtype=np.float64))
-        if mu.shape != (1 << self.n,):
-            raise ValueError(f"reward table must have {1 << self.n} entries")
-        if mu[0] != 0.0:
-            raise ValueError("empty coalition must have reward 0")
-        if not (mu.min() >= 0.0 and mu.max() <= 1.0):  # nan fails both
-            raise ValueError("rewards must lie in [0, 1]")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _rewards(self.mu, 1 << self.n))
 
     @property
     def mu_grand(self) -> float:
         return float(self.mu[-1])
 
+    def reward(self, mask: Coalition) -> np.float64:
+        """The expected reward of the coalition ``mask``, an int in 0..2^n - 1."""
+        return self.mu[mask]
 
-def marginal_vector(game: GameSpec, w: Permutation) -> np.ndarray:
+    def blocks(self):
+        """The table as an iterable of blocks of 2^min(n, MASK_BLOCK_BITS)
+        masks that share their high bits, in mask order (read-only views)."""
+        return self.mu.reshape(-1, 1 << min(self.n, MASK_BLOCK_BITS))
+
+
+@dataclass(frozen=True)
+class SymmetricGame:
+    """A game whose coalitions of size k all have expected reward ``by_size[k]``.
+
+    It holds the n + 1 size rewards, not a 2^n table, checked by the rules of
+    :class:`GameSpec`: ``by_size[0]`` is exactly 0 and all lie in [0, 1].
+
+    ``blocks`` gathers the table of :class:`GameSpec` block by block into one
+    reused buffer of 2^min(n, MASK_BLOCK_BITS) doubles: a block whose high
+    bits count h takes ``by_size[h + size]`` for the popcount ``size`` of each
+    low mask, from one block-sized intp index.  ``np.take``'s "clip" mode
+    (every index here is in range) spares the output buffer that its default
+    "raise" mode allocates.  A block is overwritten by the next, so a caller
+    that keeps one copies it.
+    """
+
+    n: int
+    by_size: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _check_player_count(self.n)
+        object.__setattr__(self, "by_size", _rewards(self.by_size, self.n + 1))
+
+    @property
+    def mu_grand(self) -> float:
+        return float(self.by_size[-1])
+
+    def reward(self, mask: Coalition) -> np.float64:
+        return self.by_size[mask.bit_count()]
+
+    def blocks(self):
+        sizes = subset_sums([1] * min(self.n, MASK_BLOCK_BITS), np.intp)
+        block = np.empty(sizes.size)
+        for b in range((1 << self.n) // sizes.size):
+            yield np.take(self.by_size[b.bit_count():], sizes, out=block, mode="clip")
+
+
+Game = GameSpec | SymmetricGame  # n, mu_grand, reward and blocks are all a reader may use
+
+
+def marginal_vector(game: Game, w: Permutation) -> np.ndarray:
     """Payoff vector giving each player its marginal contribution under w.
 
     Entry for player p is mu(prefix through p) - mu(prefix just before p);
@@ -157,7 +206,7 @@ def marginal_vector(game: GameSpec, w: Permutation) -> np.ndarray:
     """
     if w.n != game.n:
         raise ValueError("permutation size does not match the game")
-    by_arrival = np.diff(game.mu[prefix_coalitions(w)], prepend=0.0)
+    by_arrival = np.diff([game.reward(S) for S in prefix_coalitions(w)], prepend=0.0)
     return by_arrival[list(w.ranks)]
 
 
@@ -175,49 +224,30 @@ def marginal_increments(n: int, seed, coeff: float = STRICT_COEFF) -> np.ndarray
     return raw / raw.sum()
 
 
-def _symmetric_game(values: np.ndarray) -> GameSpec:
-    """The game of n = len(values) - 1 players whose coalitions of size k all
-    have reward ``values[k]``; its caller checks n first.
-
-    The table is gathered in blocks of 2^MASK_BLOCK_BITS masks that share their
-    high bits: a block whose high bits count h takes ``values[h + size]`` for
-    the popcount ``size`` of each low mask, so besides the table the gather
-    holds one block-sized intp index.  ``np.take`` writes straight into the
-    table; its "clip" mode (every index here is in range) spares the output
-    buffer that its default "raise" mode allocates.
-    """
-    n = len(values) - 1
-    sizes = subset_sums([1] * min(n, MASK_BLOCK_BITS), np.intp)
-    mu = np.empty(1 << n)
-    for b, block in enumerate(mu.reshape(-1, sizes.size)):
-        np.take(values[b.bit_count():], sizes, out=block, mode="clip")
-    return GameSpec(n=n, mu=_frozen(mu))
-
-
-def _increment_game(n: int, seed, coeff: float) -> GameSpec:
+def _increment_game(n: int, seed, coeff: float) -> SymmetricGame:
     _check_player_count(n)  # before marginal_increments sizes an array by n
     values = np.concatenate([[0.0], np.cumsum(marginal_increments(n, seed, coeff))])
     values[-1] = 1.0  # guard cumsum rounding at the grand coalition
-    return _symmetric_game(values)
+    return SymmetricGame(n, values)
 
 
-def gen_strictly_convex(n: int, seed) -> GameSpec:
+def gen_strictly_convex(n: int, seed) -> SymmetricGame:
     """Random strictly convex game with noise amplitude STRICT_COEFF on the increments."""
     return _increment_game(n, seed, coeff=STRICT_COEFF)
 
 
-def gen_convex_boundary(n: int, seed) -> GameSpec:
+def gen_convex_boundary(n: int, seed) -> SymmetricGame:
     """Random game on the convexity boundary: amplitude 1.0, margin can reach 0."""
     return _increment_game(n, seed, coeff=1.0)
 
 
-def gen_unit_game(n: int) -> GameSpec:
+def gen_unit_game(n: int) -> SymmetricGame:
     """mu(S) = |S| / n: convex but not strictly, one-point core at (1/n) 1."""
     _check_player_count(n)
-    return _symmetric_game(np.arange(n + 1) / n)
+    return SymmetricGame(n, np.arange(n + 1) / n)
 
 
-def gen_permutahedron(n: int) -> GameSpec:
+def gen_permutahedron(n: int) -> SymmetricGame:
     """mu(S) = g(|S|) / g(n) with g(k) = k (k + 1) / 2.
 
     Every marginal vector is (rank+1 profile) / g(n), so the core is the
@@ -226,4 +256,4 @@ def gen_permutahedron(n: int) -> GameSpec:
     _check_player_count(n)
     k = np.arange(n + 1)
     g = k * (k + 1) / 2.0
-    return _symmetric_game(g / g[-1])
+    return SymmetricGame(n, g / g[-1])

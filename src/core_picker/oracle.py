@@ -12,13 +12,13 @@ its sufficient statistic (a binomial for Bernoulli noise), which is what makes
 million-epoch simulations affordable; the distribution of everything the
 learner computes from the sums is identical to drawing rewards one by one.
 
-The sampler is bound once per oracle, and each mean is read from the table
-once, into a cache of the coalitions queried (at most n^2 for a learner run,
-never a 2^n list).  numpy's scalar binomial converts each argument into an
-array on every call unless it already is one of the dtype it wants, so for
-both reward models the cached means are 0-d float64 arrays, and a count
-becomes a 0-d int64 array once per advance, whose n^2 calls share one count
-object.  The learner makes one call per prefix sum because the benchmark
+The sampler is bound once per oracle, and each mean is read once through
+``game.reward``, which hides how the game stores its rewards, into a cache of
+the coalitions queried (at most n^2 for a learner run, never a 2^n list).
+numpy's scalar binomial converts each argument into an array on every call
+unless it already is one of the dtype it wants, so for both reward models
+the cached means are 0-d float64 arrays, and a count becomes a 0-d int64
+array once per advance, whose n^2 calls share one count object.  The learner makes one call per prefix sum because the benchmark
 pins n^2 calls per advance; one draw per check window waits on that pin.
 """
 
@@ -28,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .games import Coalition, GameSpec
+from .games import Coalition, Game
 
 NOISE_MODELS = ("bernoulli", "none")
 MAX_COUNT = 2**63 - 1  # numpy's largest binomial count
@@ -41,13 +41,13 @@ class RewardOracle:
     "none" returns mu(S) itself, so k draws sum to k mu(S) exactly.
     """
 
-    def __init__(self, game: GameSpec, seed, noise: str = "bernoulli"):
+    def __init__(self, game: Game, seed, noise: str = "bernoulli"):
         if noise not in NOISE_MODELS:
             raise ValueError(f"unknown noise tag {noise!r}; use {' or '.join(NOISE_MODELS)}")
         self.n, self.mu_grand = game.n, game.mu_grand  # all a learner may read of the game
         self.rng = np.random.default_rng(seed)
         self.total_queries = 0
-        self._mu = game.mu
+        self._reward = game.reward
         self._draw = self.rng.binomial if noise == "bernoulli" else operator.mul
         self._means: dict[Coalition, np.ndarray] = {}  # np.array(mu[S]) of each S queried
         self._count = self._count_arg = None  # the last count, as an int and as a 0-d array
@@ -75,8 +75,8 @@ class RewardOracle:
             mean = self._means[S]
         except (KeyError, TypeError):  # TypeError: an unhashable mask, such as a 0-d array
             mask = operator.index(S) if hasattr(S, "__index__") else 0  # True as 1, 1.5 as none
-            if not 0 < mask < len(self._mu):  # mu[-1] would read mu(N)
-                raise ValueError(f"coalition mask must lie in 1..{len(self._mu) - 1}, not {S}")
-            mean = self._means[mask] = np.array(self._mu[mask])
+            if not 0 < mask < 1 << self.n:  # a table would read mask -1 as mu(N)
+                raise ValueError(f"coalition mask must lie in 1..{(1 << self.n) - 1}, not {S}")
+            mean = self._means[mask] = np.array(self._reward(mask))
         self.total_queries += k
         return self._draw(self._count_arg, mean)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import MASK_BLOCK_BITS, GameSpec, subset_sums
+from .games import MASK_BLOCK_BITS, Game, subset_sums
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class MembershipReport:
     efficiency_gap: float
 
 
-def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
+def core_membership(game: Game, x, tol: float = 0.0) -> MembershipReport:
     """Exhaustive stability check of an allocation against every coalition.
 
     max_violation is the largest mu(S) - x(S) over proper nonempty S (positive
@@ -28,23 +28,24 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
     |x(N) - mu(N)|.  Membership requires both within tol.  An allocation must
     hold exactly n entries.
 
-    The scan holds no 2^n array besides the game's own table, only two blocks
-    of 2^MASK_BLOCK_BITS doubles: the low players' sums and the slack.  Over
-    blocks of masks sharing their high bits, it starts from the low players' sums,
-    adds each high player present in ascending order as :func:`subset_sums`
-    does, and keeps one running maximum as it goes (a NaN wins and stays), so
-    the report is bit-identical to one max over a full table.
+    The scan holds no 2^n array: it walks ``game.blocks()``, the rewards of
+    the masks sharing their high bits, 2^MASK_BLOCK_BITS at a time, and holds
+    two more blocks of doubles, the low players' sums and the slack.  For each
+    block it starts from the low players' sums, adds each high player present
+    in ascending order as :func:`subset_sums` does, and keeps one running
+    maximum as it goes (a NaN wins and stays), so the report is bit-identical
+    to one max over a full table.
     """
     x = np.asarray(x, dtype=np.float64)
-    n, mu = game.n, game.mu
+    n = game.n
     if x.shape != (n,):
         raise ValueError(f"allocation must have shape ({n},), not {x.shape}")
     low = min(n, MASK_BLOCK_BITS)
     low_sums = subset_sums(x[:low])
-    blocks = mu.reshape(-1, low_sums.size)
+    last = (1 << (n - low)) - 1
     slack = np.empty_like(low_sums)
     max_violation = -np.inf
-    for b, block in enumerate(blocks):
+    for b, block in enumerate(game.blocks()):
         np.copyto(slack, low_sums)
         for p in range(low, n):
             if b >> (p - low) & 1:
@@ -53,7 +54,7 @@ def core_membership(game: GameSpec, x, tol: float = 0.0) -> MembershipReport:
         np.subtract(block, slack, out=slack)
         if b == 0:
             slack[0] = -np.inf
-        if b == len(blocks) - 1:
+        if b == last:
             slack[-1] = -np.inf  # the grand coalition is judged by the efficiency gap
         # np.max's own ufunc, without its wrapper; not Python's max, which drops a later NaN
         max_violation = np.maximum(max_violation, np.maximum.reduce(slack))

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: independent geometric oracles and
 random configurations used by both the unit tests and the acceptance suite.
 
-The oracles ``coordinate_matrix``, ``simplex_altitudes``,
+``table`` spells out a game's 2^n reward table from its blocks.  The oracles
+``coordinate_matrix``, ``simplex_altitudes``,
 ``strict_convexity_margin``, ``reference_check_windows`` and
 ``hyperplane_misses_some_box`` are written against first principles (least
 squares, direct enumeration) rather than through the package's own geometry
@@ -16,7 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from core_picker.games import GameSpec
+from core_picker.games import Game, GameSpec
 from core_picker.geometry import (
     RANK_TOL,
     box_hyperplane_clearance,
@@ -48,6 +49,12 @@ def gen_weighted_game(n: int, seed) -> GameSpec:
     return GameSpec(n=n, mu=(weight / weight[-1]) ** 2)
 
 
+def table(game: Game) -> np.ndarray:
+    """A game's 2^n reward table, one entry per mask: its ``blocks()``, copied
+    (a symmetric game refills one buffer) and joined."""
+    return np.concatenate([block.copy() for block in game.blocks()])
+
+
 def reference_check_windows(n: int, delta: float, max_epochs: int) -> list[list[int]]:
     """A run's check epochs, window by window, built one check at a time.
 
@@ -74,7 +81,7 @@ def reference_check_windows(n: int, delta: float, max_epochs: int) -> list[list[
     return windows
 
 
-def strict_convexity_margin(game: GameSpec) -> float:
+def strict_convexity_margin(game: Game) -> float:
     """Largest slack in the pairwise supermodularity inequalities.
 
     Scans min over i != j and S avoiding both of
@@ -82,7 +89,7 @@ def strict_convexity_margin(game: GameSpec) -> float:
     strict convexity, zero plain convexity, negative a supermodularity
     violation.  O(n^2 * 2^n).
     """
-    n, mu = game.n, game.mu
+    n, mu = game.n, table(game)
     masks = np.arange(1 << n)
     best = np.inf
     for i in range(n):

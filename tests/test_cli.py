@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from support import table
 
 from core_picker import cli, verify
 from core_picker.cli import main, run_single, trial_streams
@@ -203,7 +204,7 @@ def test_cw_rows_are_those_of_the_strict_games(n):
     # the differences of the size values mu(first k players), k = 0..n
     for trial in range(3):
         game = gen_strictly_convex(n, trial_streams(5, n, trial)[0])
-        increments = np.diff(game.mu[[(1 << k) - 1 for k in range(n + 1)]])
+        increments = np.diff(table(game)[[(1 << k) - 1 for k in range(n + 1)]])
         vertices = increments[(np.arange(n)[:, None] + np.arange(n)) % n]
         width = simplex_width(vertices)
         c_w = n * float(np.min(np.diff(increments))) / width

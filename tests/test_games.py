@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import gen_weighted_game, strict_convexity_margin
+from support import gen_weighted_game, strict_convexity_margin, table
 
 from core_picker import games
 from core_picker.games import (
     MASK_BLOCK_BITS,
     GameSpec,
     Permutation,
+    SymmetricGame,
     adjacent_permutations,
     cyclic_permutations,
     gen_convex_boundary,
@@ -38,36 +39,40 @@ def test_generated_grand_coalition_is_exactly_one():
         assert gen_convex_boundary(3, seed).mu_grand == 1.0
 
 
+# an explicit table and a symmetric game's size rewards, with the name of their field
+FORMATS = [(GameSpec, "mu", [0.0, 0.25, 0.5, 1.0]), (SymmetricGame, "by_size", [0.0, 0.5, 1.0])]
+
+
 def test_gamespec_validation():
-    with pytest.raises(ValueError):
-        GameSpec(n=2, mu=np.array([0.1, 0.2, 0.3, 1.0]))  # mu(empty) != 0
-    with pytest.raises(ValueError):
-        GameSpec(n=2, mu=np.array([0.0, 0.2, 0.3, 1.5]))  # out of [0, 1]
-    with pytest.raises(ValueError):
-        GameSpec(n=2, mu=np.array([0.0, np.nan, 0.3, 1.0]))  # not a number
-    with pytest.raises(ValueError):
-        GameSpec(n=2, mu=np.zeros(5))  # wrong table length
+    # both formats check their rewards by the same rules, with the same messages
+    for kind, _, good in FORMATS:
+        assert kind(2, good).mu_grand == 1.0
+        for n in (-1, 1, 21):
+            with pytest.raises(ValueError, match=f"player count {n} outside 2..20"):
+                kind(n, good)
+        for index, value, message in ((0, 0.1, "empty coalition must have reward 0"),
+                                      (-1, 1.5, r"rewards must lie in \[0, 1\]"),
+                                      (-2, -0.5, r"rewards must lie in \[0, 1\]"),
+                                      (1, np.nan, r"rewards must lie in \[0, 1\]")):
+            bad = list(good)
+            bad[index] = value
+            with pytest.raises(ValueError, match=message):
+                kind(2, bad)
+        with pytest.raises(ValueError, match=f"reward table must have {len(good)} entries"):
+            kind(2, good + [1.0])
 
 
-def test_gamespec_copies_writeable_input_and_adopts_frozen_tables():
-    values = np.array([0.0, 0.2, 0.3, 1.0])
-    game = GameSpec(n=2, mu=values)
-    values[1] = 0.9  # the caller's array is not the game's
-    assert game.mu[1] == 0.2 and game.mu is not values
-    assert not game.mu.flags.writeable and game.mu.flags.owndata
-    frozen = np.array([0.0, 0.2, 0.3, 1.0])
-    frozen.flags.writeable = False
-    assert GameSpec(n=2, mu=frozen).mu is frozen
-    view = np.array([0.0, 0.2, 0.3, 1.0, 0.5])[:4]
-    view.flags.writeable = False  # read-only, but its base is writeable
-    assert GameSpec(n=2, mu=view).mu is not view
-    single = np.array([0.0, 0.25, 0.5, 1.0], dtype=np.float32)
-    single.flags.writeable = False
-    assert GameSpec(n=2, mu=single).mu.dtype == np.float64
-    assert GameSpec(n=2, mu=[0.0, 0.2, 0.3, 1.0]).mu.tolist() == [0.0, 0.2, 0.3, 1.0]
-    for generated in (gen_strictly_convex(4, 0), gen_convex_boundary(4, 0), gen_unit_game(4),
-                      gen_permutahedron(4)):
-        assert GameSpec(n=4, mu=generated.mu).mu is generated.mu  # handed over frozen
+def test_games_copy_and_freeze_their_rewards():
+    for kind, name, good in FORMATS:
+        values = np.array(good)
+        rewards = getattr(kind(2, values), name)
+        values[1] = 0.9  # the caller's array is not the game's
+        assert rewards.tolist() == good and rewards is not values
+        assert not rewards.flags.writeable and rewards.flags.owndata
+        values.flags.writeable = False  # a frozen array is copied too
+        assert getattr(kind(2, values), name) is not values
+        single = getattr(kind(2, np.array(good, dtype=np.float32)), name)
+        assert single.dtype == np.float64 and single.tolist() == good
 
 
 @pytest.mark.parametrize("n, bits", [
@@ -79,11 +84,11 @@ def test_generators_match_int64_popcount_formulas(monkeypatch, n, bits):
     # sizes * (sizes + 1) overflows uint8 from n = 16, so the reference casts first
     sizes = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     g = sizes * (sizes + 1) / 2.0
-    assert np.array_equal(gen_permutahedron(n).mu, g / g[-1])
-    assert np.array_equal(gen_unit_game(n).mu, sizes / n)
+    assert np.array_equal(table(gen_permutahedron(n)), g / g[-1])
+    assert np.array_equal(table(gen_unit_game(n)), sizes / n)
     values = np.concatenate([[0.0], np.cumsum(marginal_increments(n, 3))])
     values[-1] = 1.0
-    assert np.array_equal(gen_strictly_convex(n, 3).mu, values[sizes])
+    assert np.array_equal(table(gen_strictly_convex(n, 3)), values[sizes])
 
 
 @pytest.mark.parametrize("generate", [
@@ -298,7 +303,7 @@ def test_margin_permutahedron():
 
 
 def test_margin_detects_planted_violation():
-    mu = gen_unit_game(4).mu.copy()
+    mu = table(gen_unit_game(4))
     mu[0b0011] -= 0.05  # players 0 and 1
     assert strict_convexity_margin(GameSpec(n=4, mu=mu)) == pytest.approx(-0.05, abs=1e-12)
 
@@ -341,7 +346,7 @@ def test_noise_free_increments_recover_triangular_numbers():
     g_n = 15.0
     assert np.allclose(inc, np.arange(1, 6) / g_n, atol=1e-15)
     # zero-noise variant coincides with the permutahedron table
-    assert np.allclose(np.cumsum(inc), gen_permutahedron(5).mu[[1, 3, 7, 15, 31]], atol=1e-15)
+    assert np.allclose(np.cumsum(inc), table(gen_permutahedron(5))[[1, 3, 7, 15, 31]], atol=1e-15)
 
 
 def test_adjacent_permutations_shape():

@@ -38,6 +38,7 @@ from support import (
     random_box_corner,
     reference_check_windows,
     reference_stopping_condition,
+    table,
 )
 
 
@@ -165,6 +166,7 @@ def test_run_epochs_draws_row_major(noise, k):
 def test_a_run_caches_one_mean_per_prefix_it_queries():
     n = 10
     game = gen_strictly_convex(n, 1)
+    mu = table(game)
     prefixes = {S for w in resolve_permutations("cyclic", n) for S in prefix_coalitions(w)}
     for noise in ("bernoulli", "none"):
         oracle = RewardOracle(game, 2, noise)
@@ -174,7 +176,7 @@ def test_a_run_caches_one_mean_per_prefix_it_queries():
         assert set(cached) == prefixes and len(cached) <= n * n
         for S, mean in cached.items():  # ready for numpy's binomial: a 0-d float64 array
             assert type(mean) is np.ndarray and mean.shape == () and mean.dtype == np.float64
-            assert float(mean) == float(game.mu[S])
+            assert float(mean) == float(mu[S])
 
 
 def test_an_advance_hands_every_draw_the_same_ready_count():
@@ -835,7 +837,7 @@ def test_capped_unit_run_matches_one_check_per_epoch(cap):
 
 def test_scaled_and_noise_free_runs_match_one_check_per_epoch():
     # a scaled table makes the grand-coalition reward genuinely stochastic
-    scaled = GameSpec(n=3, mu=gen_strictly_convex(3, 5).mu * 0.8)
+    scaled = GameSpec(n=3, mu=table(gen_strictly_convex(3, 5)) * 0.8)
     assert_matches_reference(scaled, 6, LearnerConfig(delta=0.1, max_epochs=10**5))
     for game in (gen_strictly_convex(4, 3), gen_permutahedron(5)):
         assert_matches_reference(game, 2, LearnerConfig(delta=0.1), noise="none")

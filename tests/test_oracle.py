@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from core_picker.games import GameSpec, gen_strictly_convex, gen_unit_game, prefix_coalitions
+from core_picker.games import (
+    GameSpec,
+    SymmetricGame,
+    gen_strictly_convex,
+    gen_unit_game,
+    prefix_coalitions,
+)
 from core_picker.learner import resolve_permutations
 from core_picker.oracle import RewardOracle
-from support import gen_weighted_game
+from support import gen_weighted_game, table
 
 
 def small_game(values):
@@ -102,15 +108,17 @@ def test_a_rejected_count_draws_and_counts_nothing(noise):
 
 @pytest.mark.parametrize("noise", ["bernoulli", "none"])
 def test_a_mask_outside_the_table_draws_and_counts_nothing(noise):
-    # mu[-1] is mu(N): a negative mask used to be read as the grand coalition
-    oracle = RewardOracle(small_game([0.3, 0.5, 0.8]), 4, noise)
-    oracle.query_sum(3, 7)
-    for S in (-1, 0, 4, 1.5):  # the empty coalition, 2^n at n = 2, and no integer
-        before = (oracle.rng.bit_generator.state, oracle.total_queries)
-        with pytest.raises(ValueError, match="coalition mask must lie in 1..3"):
-            oracle.query_sum(S, 1000)
-        assert (oracle.rng.bit_generator.state, oracle.total_queries) == before, S
-    assert oracle.total_queries == 7
+    # mu[-1] is mu(N): a negative mask used to be read as the grand coalition,
+    # and a symmetric game would read it as a coalition of one
+    for game in (small_game([0.3, 0.5, 0.8]), SymmetricGame(2, [0.0, 0.4, 0.8])):
+        oracle = RewardOracle(game, 4, noise)
+        oracle.query_sum(3, 7)
+        for S in (-1, 0, 4, 1.5):  # the empty coalition, 2^n at n = 2, and no integer
+            before = (oracle.rng.bit_generator.state, oracle.total_queries)
+            with pytest.raises(ValueError, match="coalition mask must lie in 1..3"):
+                oracle.query_sum(S, 1000)
+            assert (oracle.rng.bit_generator.state, oracle.total_queries) == before, S
+        assert oracle.total_queries == 7
 
 
 @pytest.mark.parametrize("noise", ["bernoulli", "none"])
@@ -150,9 +158,9 @@ def test_mean_correctness_within_three_standard_errors(noise, mu_S, se):
 def test_noise_free_rewards_are_exact_means():
     """noise="none" returns mu(S) itself, and k draws sum to k mu(S) exactly."""
     game = gen_unit_game(3)
-    oracle = RewardOracle(game, 0, "none")
-    assert oracle.query(0b011) == game.mu[0b011]
-    assert oracle.query_sum(0b111, 4) == 4 * game.mu[0b111]
+    oracle, mu = RewardOracle(game, 0, "none"), table(game)
+    assert oracle.query(0b011) == mu[0b011]
+    assert oracle.query_sum(0b111, 4) == 4 * mu[0b111]
 
 
 def test_query_sum_matches_query_distribution_moments():
