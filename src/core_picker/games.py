@@ -1,9 +1,10 @@
 """Cooperative games as expected rewards over coalitions.
 
 Coalitions are bit-masks over player indices 0..n-1 (bit p set means player p
-is in the coalition).  A game answers the expected reward of any mask, with
-values normalized into [0, 1]: a :class:`SymmetricGame` (every generator here)
-from its n + 1 size rewards, a :class:`GameSpec` from an explicit 2^n table.
+is in the coalition).  A game answers the expected reward of any mask, or of
+each mask of an integer array, with values normalized into [0, 1]: a
+:class:`SymmetricGame` (every generator here) from its n + 1 size rewards, a
+:class:`GameSpec` from an explicit 2^n table.
 Permutations index the marginal vectors that form the vertices of the core of
 a convex game.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PLAYERS = 20  # the core scan takes time 2^n: 2^20 coalitions keeps it at desk scale
-MASK_BLOCK_BITS = 15  # 2^15 masks per block of the core scan over all 2^n masks: 256 KiB
 STRICT_COEFF = 0.9  # increment noise of the strict games; below 1 keeps them strictly convex
 
 Coalition = int
@@ -27,7 +27,7 @@ def _check_player_count(n: int) -> None:
         raise ValueError(f"player count {n} outside 2..{MAX_PLAYERS}")
 
 
-def subset_sums(values, dtype=np.float64) -> np.ndarray:
+def subset_sums(values) -> np.ndarray:
     """The sum of ``values[p]`` over the set bits p of every mask
     0..2**len(values)-1.
 
@@ -35,7 +35,7 @@ def subset_sums(values, dtype=np.float64) -> np.ndarray:
     those below 2**p plus ``values[p]``, so each sum adds its terms in
     ascending order of p.
     """
-    sums = np.empty(1 << len(values), dtype=dtype)
+    sums = np.empty(1 << len(values))
     sums[0] = 0
     for p, value in enumerate(values):
         h = 1 << p
@@ -135,6 +135,8 @@ class GameSpec:
     The table is a frozen float64 copy of the input, 2^n entries (8 MiB at
     n = 20), for games whose rewards depend on more than a coalition's size;
     the generators' games are :class:`SymmetricGame`, which hold no table.
+    ``reward`` is the one reader of either format: the oracle asks it one
+    mask at a time, the core scan a block of masks at a time.
     """
 
     n: int
@@ -148,14 +150,10 @@ class GameSpec:
     def mu_grand(self) -> float:
         return float(self.mu[-1])
 
-    def reward(self, mask: Coalition) -> np.float64:
-        """The expected reward of the coalition ``mask``, an int in 0..2^n - 1."""
+    def reward(self, mask):
+        """The expected reward of the coalition ``mask``, an int in 0..2^n - 1,
+        or the array of rewards of an integer array of such masks."""
         return self.mu[mask]
-
-    def blocks(self):
-        """The table as an iterable of blocks of 2^min(n, MASK_BLOCK_BITS)
-        masks that share their high bits, in mask order (read-only views)."""
-        return self.mu.reshape(-1, 1 << min(self.n, MASK_BLOCK_BITS))
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,9 @@ class SymmetricGame:
 
     It holds the n + 1 size rewards, not a 2^n table, checked by the rules of
     :class:`GameSpec`: ``by_size[0]`` is exactly 0 and all lie in [0, 1].
-
-    ``blocks`` gathers the table of :class:`GameSpec` block by block into one
-    reused buffer of 2^min(n, MASK_BLOCK_BITS) doubles: a block whose high
-    bits count h takes ``by_size[h + size]`` for the popcount ``size`` of each
-    low mask, from one block-sized intp index.  ``np.take``'s "clip" mode
-    (every index here is in range) spares the output buffer that its default
-    "raise" mode allocates.  A block is overwritten by the next, so a caller
-    that keeps one copies it.
+    ``reward`` reads ``by_size`` at the popcount of a mask or of each mask of
+    an integer array, so it gives the bits of the table :class:`GameSpec`
+    would hold.
     """
 
     n: int
@@ -185,17 +178,11 @@ class SymmetricGame:
     def mu_grand(self) -> float:
         return float(self.by_size[-1])
 
-    def reward(self, mask: Coalition) -> np.float64:
-        return self.by_size[mask.bit_count()]
-
-    def blocks(self):
-        sizes = subset_sums([1] * min(self.n, MASK_BLOCK_BITS), np.intp)
-        block = np.empty(sizes.size)
-        for b in range((1 << self.n) // sizes.size):
-            yield np.take(self.by_size[b.bit_count():], sizes, out=block, mode="clip")
+    def reward(self, mask):
+        return self.by_size[np.bitwise_count(mask)]
 
 
-Game = GameSpec | SymmetricGame  # n, mu_grand, reward and blocks are all a reader may use
+Game = GameSpec | SymmetricGame  # n, mu_grand and reward are all a reader may use
 
 
 def marginal_vector(game: Game, w: Permutation) -> np.ndarray:
@@ -206,7 +193,7 @@ def marginal_vector(game: Game, w: Permutation) -> np.ndarray:
     """
     if w.n != game.n:
         raise ValueError("permutation size does not match the game")
-    by_arrival = np.diff([game.reward(S) for S in prefix_coalitions(w)], prepend=0.0)
+    by_arrival = np.diff(game.reward(np.array(prefix_coalitions(w))), prepend=0.0)
     return by_arrival[list(w.ranks)]
 
 

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import MASK_BLOCK_BITS, Game, subset_sums
+from .games import Game, subset_sums
+
+MASK_BLOCK_BITS = 14  # 2^14 masks per block of the scan over all 2^n masks: 128 KiB of doubles
 
 
 @dataclass(frozen=True)
@@ -28,13 +30,14 @@ def core_membership(game: Game, x, tol: float = 0.0) -> MembershipReport:
     |x(N) - mu(N)|.  Membership requires both within tol.  An allocation must
     hold exactly n entries.
 
-    The scan holds no 2^n array: it walks ``game.blocks()``, the rewards of
-    the masks sharing their high bits, 2^MASK_BLOCK_BITS at a time, and holds
-    two more blocks of doubles, the low players' sums and the slack.  For each
-    block it starts from the low players' sums, adds each high player present
-    in ascending order as :func:`subset_sums` does, and keeps one running
-    maximum as it goes (a NaN wins and stays), so the report is bit-identical
-    to one max over a full table.
+    The scan holds no 2^n array: block b holds the 2^MASK_BLOCK_BITS masks
+    whose high bits read b, and ``game.reward`` answers them in one call.
+    Besides a block's masks and rewards it holds two more blocks of doubles,
+    the low players' sums and the slack.  For each block it starts from the
+    low players' sums, adds each high player present in ascending order as
+    :func:`subset_sums` does, and keeps one running maximum as it goes (a NaN
+    wins and stays), so the report is bit-identical to one max over a full
+    table.
     """
     x = np.asarray(x, dtype=np.float64)
     n = game.n
@@ -45,7 +48,8 @@ def core_membership(game: Game, x, tol: float = 0.0) -> MembershipReport:
     last = (1 << (n - low)) - 1
     slack = np.empty_like(low_sums)
     max_violation = -np.inf
-    for b, block in enumerate(game.blocks()):
+    for b in range(last + 1):
+        block = game.reward(np.arange(b << low, (b + 1) << low))
         np.copyto(slack, low_sums)
         for p in range(low, n):
             if b >> (p - low) & 1:

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: independent geometric oracles and
 random configurations used by both the unit tests and the acceptance suite.
 
-``table`` spells out a game's 2^n reward table from its blocks.  The oracles
+``table`` spells out a game's 2^n reward table, read at every mask.  The oracles
 ``coordinate_matrix``, ``simplex_altitudes``,
 ``strict_convexity_margin``, ``reference_check_windows`` and
 ``hyperplane_misses_some_box`` are written against first principles (least
@@ -50,9 +50,8 @@ def gen_weighted_game(n: int, seed) -> GameSpec:
 
 
 def table(game: Game) -> np.ndarray:
-    """A game's 2^n reward table, one entry per mask: its ``blocks()``, copied
-    (a symmetric game refills one buffer) and joined."""
-    return np.concatenate([block.copy() for block in game.blocks()])
+    """A game's 2^n reward table, one entry per mask, from one ``reward`` call."""
+    return game.reward(np.arange(1 << game.n))
 
 
 def reference_check_windows(n: int, delta: float, max_epochs: int) -> list[list[int]]:

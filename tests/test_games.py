@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from support import gen_weighted_game, strict_convexity_margin, table
 
-from core_picker import games
 from core_picker.games import (
-    MASK_BLOCK_BITS,
     GameSpec,
     Permutation,
     SymmetricGame,
@@ -75,12 +73,8 @@ def test_games_copy_and_freeze_their_rewards():
         assert single.dtype == np.float64 and single.tolist() == good
 
 
-@pytest.mark.parametrize("n, bits", [
-    *(pytest.param(n, MASK_BLOCK_BITS, id=str(n)) for n in (2, 14, 15, 16, 20)),  # 16: two blocks
-    *(pytest.param(n, 3, id=f"{n}-3bit") for n in range(4, 10)),  # 2 to 64 blocks of 8 masks
-])
-def test_generators_match_int64_popcount_formulas(monkeypatch, n, bits):
-    monkeypatch.setattr(games, "MASK_BLOCK_BITS", bits)
+@pytest.mark.parametrize("n", [2, 14, 15, 16, 20])
+def test_generators_match_int64_popcount_formulas(n):
     # sizes * (sizes + 1) overflows uint8 from n = 16, so the reference casts first
     sizes = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     g = sizes * (sizes + 1) / 2.0
@@ -89,6 +83,28 @@ def test_generators_match_int64_popcount_formulas(monkeypatch, n, bits):
     values = np.concatenate([[0.0], np.cumsum(marginal_increments(n, 3))])
     values[-1] = 1.0
     assert np.array_equal(table(gen_strictly_convex(n, 3)), values[sizes])
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: gen_strictly_convex(n, n),
+    lambda n: gen_convex_boundary(n, n),
+    gen_unit_game,
+    gen_permutahedron,
+    lambda n: GameSpec(n, np.append(0.0, np.random.default_rng(n).random((1 << n) - 1))),
+], ids=["strict", "convex", "unit", "permutahedron", "table"])
+@pytest.mark.parametrize("sizes", [range(2, 13), [20]], ids=["every-mask-to-12", "sample-20"])
+def test_reward_of_a_mask_array_is_its_scalar_rewards(make, sizes):
+    # the core scan asks for a block of masks in one call, the oracle for one mask at a time
+    for n in sizes:
+        game = make(n)
+        if n <= 12:
+            masks = np.arange(1 << n, dtype=np.int64)
+        else:  # the ends and a seeded sample
+            sample = np.random.default_rng(n).integers(1 << n, size=4096)
+            masks = np.concatenate([[0, (1 << n) - 1], sample]).astype(np.int64)
+        scalars = np.array([game.reward(int(mask)) for mask in masks])
+        rewards = game.reward(masks)
+        assert rewards.dtype == np.float64 and rewards.tobytes() == scalars.tobytes()
 
 
 @pytest.mark.parametrize("generate", [
@@ -109,8 +125,8 @@ def test_generators_reject_player_counts_out_of_range(generate, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_subset_sums_of_ones_are_popcounts(n):
-    sizes = subset_sums([1] * n, np.uint8)
-    assert sizes.dtype == np.uint8
+    sizes = subset_sums([1] * n)
+    assert sizes.dtype == np.float64
     assert sizes.tolist() == [bin(mask).count("1") for mask in range(1 << n)]
 
 

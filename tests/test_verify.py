@@ -6,7 +6,6 @@ import pytest
 from support import table
 
 from core_picker.games import (
-    MASK_BLOCK_BITS,
     GameSpec,
     Permutation,
     cyclic_permutations,
@@ -18,11 +17,11 @@ from core_picker.games import (
     prefix_coalitions,
     subset_sums,
 )
-from core_picker import games, verify
+from core_picker import verify
 from core_picker.geometry import in_simplex
 from core_picker.learner import resolve_permutations
 from core_picker.oracle import RewardOracle
-from core_picker.verify import core_membership
+from core_picker.verify import MASK_BLOCK_BITS, core_membership
 
 
 def marginal_vectors(game):
@@ -51,8 +50,7 @@ def full_table_report(game, x):
 @pytest.mark.parametrize("n", range(2, 21))
 def test_blocked_scan_equals_full_table_scan(monkeypatch, n):
     # n >= 5 spans several blocks: 2 at n = 5, up to 32 from n = 9 on
-    for module in (games, verify):  # verify reads its own binding of the constant
-        monkeypatch.setattr(module, "MASK_BLOCK_BITS", max(4, n - 5))
+    monkeypatch.setattr(verify, "MASK_BLOCK_BITS", max(4, n - 5))
     rng = np.random.default_rng(n)
     game = gen_strictly_convex(n, n)
     centre = np.full(n, 1.0 / n)
@@ -72,14 +70,13 @@ def test_blocked_scan_equals_full_table_scan(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n, bits", [
-    *(pytest.param(n, MASK_BLOCK_BITS, id=str(n)) for n in range(2, 21)),  # 16: two blocks
+    *(pytest.param(n, MASK_BLOCK_BITS, id=str(n)) for n in range(2, 21)),  # 15: two blocks
     *(pytest.param(n, 3, id=f"{n}-3bit") for n in range(2, 15)),  # up to 2^11 blocks of 8 masks
 ])
 def test_a_symmetric_game_and_its_table_give_the_same_bits(monkeypatch, n, bits):
-    # the oracle and marginal_vector read reward(), the table is built from blocks(): a
-    # gather that misplaces a block shows as a difference between the two formats
-    for module in (games, verify):  # verify reads its own binding of the constant
-        monkeypatch.setattr(module, "MASK_BLOCK_BITS", bits)
+    # the oracle reads reward() one mask at a time, marginal_vector n masks at once and
+    # the scan a block of masks: a popcount read that strays from the table shows here
+    monkeypatch.setattr(verify, "MASK_BLOCK_BITS", bits)
     rng = np.random.default_rng(n)
     w = cyclic_permutations(n)[n // 2]
     for game in (gen_strictly_convex(n, n), gen_convex_boundary(n, n), gen_unit_game(n),
@@ -111,7 +108,8 @@ def test_generation_and_scan_hold_no_table_at_n20():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # four blocks of 2^MASK_BLOCK_BITS entries: the gather's index and buffer, the sums, the slack
+    # four blocks of 2^MASK_BLOCK_BITS 8-byte entries (a block's masks and rewards, the sums,
+    # the slack), plus the popcounts and numpy's buffer for indexing by them: about 0.09
     assert peak < 0.15 * table_bytes
 
 
